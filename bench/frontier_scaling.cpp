@@ -129,13 +129,13 @@ main()
     std::cout << "=== Tigr bench: frontier scaling (tigr-v+, scale "
               << bench::fmt(bench::benchScale(), 2) << ") ===\n\n";
 
-    const graph::DatasetSpec spec{
-        "rmat-bench", graph::DatasetGenerator::Rmat,
-        65536,        1u << 20,
-        0.57,         0,
-        424242,       0,
-        0,            0,
-        0};
+    const graph::DatasetSpec spec{.name = "rmat-bench",
+                                  .generator = graph::DatasetGenerator::Rmat,
+                                  .nodes = 65536,
+                                  .edges = 1u << 20,
+                                  .rmatA = 0.57,
+                                  .baEdgesPerNode = 0,
+                                  .seed = 424242};
     graph::Csr rmat = bench::loadGraph(spec, true);
     const NodeId rmat_source = bench::hubNode(rmat);
     graph::Csr grid = gridGraph();

@@ -58,13 +58,13 @@ main()
                  "RMAT, scale "
               << bench::fmt(bench::benchScale(), 2) << ") ===\n\n";
 
-    const graph::DatasetSpec spec{
-        "rmat-bench", graph::DatasetGenerator::Rmat,
-        65536,        1u << 20,
-        0.57,         0,
-        424242,       0,
-        0,            0,
-        0};
+    const graph::DatasetSpec spec{.name = "rmat-bench",
+                                  .generator = graph::DatasetGenerator::Rmat,
+                                  .nodes = 65536,
+                                  .edges = 1u << 20,
+                                  .rmatA = 0.57,
+                                  .baEdgesPerNode = 0,
+                                  .seed = 424242};
     graph::Csr g = bench::loadGraph(spec, true);
     const NodeId source = bench::hubNode(g);
     std::cout << "graph: " << g.numNodes() << " nodes, " << g.numEdges()

@@ -125,25 +125,22 @@ main()
             const NodeId source = bench::hubNode(engines.weighted);
             const NodeId cc_source = bench::hubNode(engines.symmetric);
 
-            std::array<std::string, 4> cells;
+            // "-" marks a cell the framework has no primitive for.
+            std::array<std::string, 4> cells{"-", "-", "-", "-"};
             std::array<double, 4> ms;
             ms.fill(std::numeric_limits<double>::infinity());
             for (std::size_t c = 0; c < 4; ++c) {
                 Strategy strategy = kColumns[c];
-                if (!hasPrimitive(strategy, algorithm)) {
-                    cells[c] = "-";
+                if (!hasPrimitive(strategy, algorithm))
                     continue;
-                }
                 if (bench::paperOom(strategy, algorithm, spec)) {
                     cells[c] = "OOM";
                     continue;
                 }
                 auto cell = runCell(engines, c, algorithm, source,
                                     cc_source);
-                if (!cell) {
-                    cells[c] = "-";
+                if (!cell)
                     continue;
-                }
                 ms[c] = *cell;
                 cells[c] = bench::fmt(*cell, 2);
             }

@@ -131,6 +131,13 @@ class DynamicGraph
     /** Weight stored in arena slot @p slot, parallel to arenaTarget. */
     Weight arenaWeight(EdgeIndex slot) const { return weights_[slot]; }
 
+    /** Every forward arena slot's destination (live + slack), indexed
+     *  like arenaTarget. */
+    std::span<const NodeId> arenaTargets() const { return targets_; }
+
+    /** Every forward arena slot's weight, parallel to arenaTargets. */
+    std::span<const Weight> arenaWeights() const { return weights_; }
+
     /** Per-vertex segment begins (size n), for validating externally
      *  produced arena-addressed virtual arrays. */
     std::span<const EdgeIndex> segmentBegins() const { return begins_; }
@@ -180,6 +187,13 @@ class DynamicGraph
     {
         return inWeights_[slot];
     }
+
+    /** Every reverse arena slot's source (live + slack), indexed like
+     *  inArenaSource. */
+    std::span<const NodeId> inArenaSources() const { return inSources_; }
+
+    /** Every reverse arena slot's weight, parallel to inArenaSources. */
+    std::span<const Weight> inArenaWeights() const { return inWeights_; }
 
     /** Per-vertex in-segment begins (size n). */
     std::span<const EdgeIndex> inSegmentBegins() const

@@ -6,6 +6,9 @@
 #include <stdexcept>
 
 #include "algorithms/semirings.hpp"
+#include "dynamic/dynamic_graph.hpp"
+#include "dynamic/incremental_virtualizer.hpp"
+#include "engine/arena_provider.hpp"
 #include "engine/dynamic_provider.hpp"
 #include "par/parallel_for.hpp"
 #include "graph/datasets.hpp"
@@ -39,10 +42,20 @@ isVirtualStrategy(Strategy strategy)
            strategy == Strategy::TigrVPlus;
 }
 
+transform::EdgeLayout
+layoutOf(Strategy strategy)
+{
+    return strategy == Strategy::TigrVPlus
+               ? transform::EdgeLayout::Coalesced
+               : transform::EdgeLayout::Consecutive;
+}
+
 } // namespace
 
-/** Lazily built per-analysis machinery: the (possibly transformed or
- *  reversed) graph a schedule indexes plus the schedule itself. */
+/** Per-analysis machinery. Dense: the (possibly transformed or
+ *  reversed) graph a schedule indexes plus the schedule itself, built
+ *  lazily and cached. Arena: the side the units split and the
+ *  maintained virtualizer serving it, if any. */
 struct GraphEngine::Context
 {
     /** Owned graph storage when the context cannot reference the
@@ -50,28 +63,40 @@ struct GraphEngine::Context
     std::optional<graph::Csr> ownedGraph;
     /** UDT transformation output (TigrUdt strategy only). */
     std::optional<transform::PhysicalTransformResult> udt;
-    /** The graph whose edges the schedule indexes. */
+    /** The graph whose edges the schedule indexes (dense engines). */
     const graph::Csr *scheduled = nullptr;
     /** Locally built work-unit decomposition (empty under dynamic
-     *  mapping, which recomputes units instead of storing them, and
-     *  when a shared schedule is in use). */
+     *  mapping, which recomputes units instead of storing them, when
+     *  a shared schedule is in use, and on arena engines). */
     Schedule ownedSchedule;
     /** The decomposition analyses run over: &ownedSchedule, or an
      *  externally cached SharedSchedule's. */
     const Schedule *schedule = &ownedSchedule;
+    /** Arena side the units split (arena engines). */
+    dynamic::GraphSide side = dynamic::GraphSide::Out;
+    /** Maintained virtualizer serving the side, or null to enumerate
+     *  its families on the fly (arena engines). */
+    const dynamic::IncrementalVirtualizer *virt = nullptr;
+    /** Read every edge weight as 1 (arena BFS; the dense engine
+     *  schedules over a unit-weight copy instead). */
+    bool unitWeights = false;
+    /** Units of an all-active launch — the virtual-array size traces
+     *  and footprints report; 0 under dynamic mapping, which stores
+     *  no array. */
+    std::uint64_t numUnits = 0;
     /** Host time spent building this context (a shared schedule
-     *  reports its original build cost). */
+     *  reports its original build cost; arena contexts build
+     *  nothing). */
     double buildMs = 0.0;
     /** Set once a later analysis reuses this context (the
-     *  RunInfo::transformCached satellite fix). */
+     *  RunInfo::transformCached satellite fix), and on arena contexts
+     *  served by a maintained virtualizer. */
     bool reusedFromCache = false;
-    /** Outdegrees of the original graph (pull contexts only). */
-    std::vector<EdgeIndex> outdegrees;
 };
 
 GraphEngine::GraphEngine(const graph::Csr &graph, EngineOptions options,
                          std::shared_ptr<const SharedSchedule> shared)
-    : graph_(graph), options_(std::move(options)),
+    : dense_(&graph), options_(std::move(options)),
       shared_(std::move(shared)), sim_(options_.gpu)
 {
     const unsigned threads = par::resolveThreads(options_.threads);
@@ -92,11 +117,38 @@ GraphEngine::GraphEngine(const graph::Csr &graph, EngineOptions options,
     }
 }
 
+GraphEngine::GraphEngine(const dynamic::DynamicGraph &graph,
+                         const dynamic::IncrementalVirtualizer *forward,
+                         const dynamic::IncrementalVirtualizer *reverse,
+                         EngineOptions options)
+    : arena_(&graph), forwardVirt_(forward), reverseVirt_(reverse),
+      options_(std::move(options)), sim_(options_.gpu)
+{
+    if (!isVirtualStrategy(options_.strategy)) {
+        throw std::invalid_argument(
+            "tigr: arena-served analyses require a virtual strategy "
+            "(tigr-v / tigr-v+); every other strategy needs a dense "
+            "materialization");
+    }
+    const unsigned threads = par::resolveThreads(options_.threads);
+    if (threads > 1)
+        pool_ = std::make_unique<par::ThreadPool>(threads);
+}
+
 GraphEngine::~GraphEngine() = default;
+
+NodeId
+GraphEngine::numNodes() const
+{
+    return dense_ ? dense_->numNodes() : arena_->numNodes();
+}
 
 GraphEngine::Context &
 GraphEngine::context(ContextKind kind)
 {
+    if (arena_)
+        return arenaContext(kind);
+
     auto it = contexts_.find(kind);
     if (it != contexts_.end()) {
         it->second->reusedFromCache = true;
@@ -105,17 +157,18 @@ GraphEngine::context(ContextKind kind)
 
     auto start = std::chrono::steady_clock::now();
     auto ctx = std::make_unique<Context>();
+    const graph::Csr &graph = *dense_;
 
     // Pick the base graph for this analysis family.
-    const graph::Csr *base = &graph_;
+    const graph::Csr *base = &graph;
     switch (kind) {
       case ContextKind::WeightedZero:
       case ContextKind::WeightedInf:
         break;
       case ContextKind::UnitZero:
       case ContextKind::PullReversedUnit:
-        if (!allUnitWeights(graph_)) {
-            graph::CooEdges coo = graph_.toCoo();
+        if (!allUnitWeights(graph)) {
+            graph::CooEdges coo = graph.toCoo();
             for (graph::Edge &e : coo.edges())
                 e.weight = 1;
             ctx->ownedGraph = graph::Csr::fromCoo(coo);
@@ -127,15 +180,15 @@ GraphEngine::context(ContextKind kind)
       case ContextKind::SortedRows: {
         // Row-sorted copy: each node's neighbor list ascending, for
         // two-pointer set intersections.
-        graph::CooEdges coo(graph_.numNodes());
-        coo.reserve(graph_.numEdges());
+        graph::CooEdges coo(graph.numNodes());
+        coo.reserve(graph.numEdges());
         std::vector<std::pair<NodeId, Weight>> row;
-        for (NodeId v = 0; v < graph_.numNodes(); ++v) {
+        for (NodeId v = 0; v < graph.numNodes(); ++v) {
             row.clear();
-            for (EdgeIndex e = graph_.edgeBegin(v);
-                 e < graph_.edgeEnd(v); ++e)
-                row.emplace_back(graph_.edgeTarget(e),
-                                 graph_.edgeWeight(e));
+            for (EdgeIndex e = graph.edgeBegin(v); e < graph.edgeEnd(v);
+                 ++e)
+                row.emplace_back(graph.edgeTarget(e),
+                                 graph.edgeWeight(e));
             std::sort(row.begin(), row.end());
             for (auto [target, weight] : row)
                 coo.add(v, target, weight);
@@ -146,15 +199,12 @@ GraphEngine::context(ContextKind kind)
       }
     }
 
-    // Pull contexts schedule over the reversed graph and remember the
-    // original outdegrees (PageRank's rank shares, Corollary 4).
+    // Pull contexts schedule over the reversed graph (PageRank reads
+    // the original outdegrees off the forward graph, Corollary 4).
     if (kind == ContextKind::PullReversed ||
         kind == ContextKind::PullReversedUnit) {
         ctx->ownedGraph = base->reversed();
         base = &*ctx->ownedGraph;
-        ctx->outdegrees.resize(graph_.numNodes());
-        for (NodeId v = 0; v < graph_.numNodes(); ++v)
-            ctx->outdegrees[v] = graph_.degree(v);
     }
 
     // Physically transform for TigrUdt (push contexts only; pull and
@@ -196,20 +246,77 @@ GraphEngine::context(ContextKind kind)
     } else {
         ctx->buildMs = elapsedMs(start);
     }
+    ctx->numUnits = ctx->schedule->numUnits();
 
     Context &ref = *ctx;
     contexts_.emplace(kind, std::move(ctx));
     return ref;
 }
 
+GraphEngine::Context &
+GraphEngine::arenaContext(ContextKind kind)
+{
+    // Re-derived on every call: the arena and its virtualizers may
+    // have moved on since an earlier analysis of this engine.
+    auto ctx = std::make_unique<Context>();
+    const bool pull = kind == ContextKind::PullReversed ||
+                      kind == ContextKind::PullReversedUnit;
+    ctx->side = pull ? dynamic::GraphSide::In : dynamic::GraphSide::Out;
+    ctx->unitWeights = kind == ContextKind::UnitZero ||
+                       kind == ContextKind::PullReversedUnit;
+    const dynamic::IncrementalVirtualizer *virt =
+        pull ? reverseVirt_ : forwardVirt_;
+    if (virt != nullptr && !options_.dynamicMapping &&
+        virt->addressing() == dynamic::StartAddressing::Arena &&
+        virt->side() == ctx->side &&
+        virt->degreeBound() == options_.degreeBound &&
+        virt->layout() == layoutOf(options_.strategy)) {
+        ctx->virt = virt;
+        ctx->numUnits = virt->numEntries();
+    } else if (!options_.dynamicMapping) {
+        const DynamicVirtualProvider provider(
+            *arena_, ctx->side, options_.degreeBound,
+            layoutOf(options_.strategy));
+        for (NodeId v = 0; v < arena_->numNodes(); ++v)
+            ctx->numUnits += provider.unitCountOf(v);
+    }
+    // No dense transform ever runs on this path: the "transform" is
+    // the maintained virtual array, repaired when the graph mutated —
+    // report it as cached reuse, with no build time to charge.
+    ctx->reusedFromCache = ctx->virt != nullptr;
+
+    std::unique_ptr<Context> &slot = contexts_[kind];
+    slot = std::move(ctx);
+    return *slot;
+}
+
 bool
 GraphEngine::sharedApplies(const Context &ctx) const
 {
     const Schedule &s = shared_->schedule;
-    return ctx.scheduled == &graph_ && &s.graph() == &graph_ &&
+    return ctx.scheduled == dense_ && &s.graph() == dense_ &&
            s.strategy() == options_.strategy &&
            s.degreeBound() == options_.degreeBound &&
            s.mwVirtualWarp() == options_.mwVirtualWarp;
+}
+
+template <typename Fn>
+decltype(auto)
+GraphEngine::withProvider(const Context &ctx, Fn &&fn)
+{
+    const transform::EdgeLayout layout = layoutOf(options_.strategy);
+    if (arena_) {
+        if (ctx.virt)
+            return fn(ArenaVirtualProvider(*arena_, *ctx.virt), *arena_);
+        return fn(DynamicVirtualProvider(*arena_, ctx.side,
+                                         options_.degreeBound, layout),
+                  *arena_);
+    }
+    if (options_.dynamicMapping)
+        return fn(DynamicVirtualProvider(*ctx.scheduled,
+                                         options_.degreeBound, layout),
+                  *dense_);
+    return fn(*ctx.schedule, *dense_);
 }
 
 PushOptions
@@ -242,7 +349,7 @@ GraphEngine::traceRunBegin(Algorithm algorithm, const Context &ctx)
     begin.label[2] =
         options_.direction == Direction::Pull ? "pull" : "push";
     begin.label[3] = frontierModeName(options_.frontier);
-    begin.arg[0] = graph_.numNodes();
+    begin.arg[0] = numNodes();
     begin.arg[1] = options_.worklist ? 1 : 0;
     begin.arg[2] = options_.dynamicMapping ? 1 : 0;
     options_.trace->record(begin);
@@ -251,8 +358,7 @@ GraphEngine::traceRunBegin(Algorithm algorithm, const Context &ctx)
     transform.tick = tracedCycles_;
     transform.kind = obs::EventKind::Transform;
     transform.arg[0] = ctx.reusedFromCache ? 1 : 0;
-    transform.arg[1] =
-        options_.dynamicMapping ? 0 : ctx.schedule->numUnits();
+    transform.arg[1] = ctx.numUnits;
     options_.trace->record(transform);
 }
 
@@ -274,55 +380,70 @@ GraphEngine::traceRunEnd(const RunInfo &info)
     tracedCycles_ += info.stats.cycles;
 }
 
-void
-GraphEngine::traceLoopIteration(unsigned iteration,
-                                std::uint64_t frontier,
-                                std::uint64_t units,
-                                const sim::KernelStats &before,
-                                const sim::KernelStats &after)
-{
-    obs::TraceEvent event;
-    event.tick = tracedCycles_ + after.cycles;
-    event.kind = obs::EventKind::Iteration;
-    event.arg[0] = iteration;
-    event.arg[1] = frontier;
-    event.arg[2] = 0;
-    event.arg[3] = units;
-    event.arg[4] = after.cycles - before.cycles;
-    event.arg[5] = after.instructions - before.instructions;
-    event.arg[6] = after.laneSlots - before.laneSlots;
-    event.arg[7] = after.memTransactions - before.memTransactions;
-    options_.trace->record(event);
-}
-
 template <typename Semiring>
 PushOutcome<Semiring>
 GraphEngine::runSemiring(
-    Context &ctx,
+    const Context &ctx,
     std::span<const std::pair<NodeId, typename Semiring::Value>> seeds,
     bool all_active)
 {
     const bool pull = options_.direction == Direction::Pull;
     // The pull destination filter walks forward out-neighbors of a
-    // changed node; the engine's input graph has that topology for
-    // every pull context (the unit-weight copy only rewrites weights,
-    // and pull refuses UDT up front).
-    const graph::Csr *forward = &graph_;
-    if (options_.dynamicMapping) {
-        const auto layout = options_.strategy == Strategy::TigrVPlus
-                                ? transform::EdgeLayout::Coalesced
-                                : transform::EdgeLayout::Consecutive;
-        DynamicVirtualProvider provider(*ctx.scheduled,
-                                        options_.degreeBound, layout);
-        return pull ? runPull<Semiring>(provider, sim_, pushOptions(),
-                                        seeds, forward)
-                    : runPush<Semiring>(provider, sim_, pushOptions(),
-                                        seeds, all_active);
-    }
-    return pull ? runPull<Semiring>(*ctx.schedule, sim_, pushOptions(),
-                                    seeds, forward)
-                : runPush<Semiring>(*ctx.schedule, sim_, pushOptions(),
-                                    seeds, all_active);
+    // changed node: the forward topology has them for every pull
+    // context (the unit-weight copy only rewrites weights, and pull
+    // refuses UDT up front).
+    return withProvider(ctx, [&](const auto &provider,
+                                 const auto &forward) {
+        auto run = [&](const auto &units) {
+            return pull ? runPull<Semiring>(units, sim_, pushOptions(),
+                                            seeds, &forward)
+                        : runPush<Semiring>(units, sim_, pushOptions(),
+                                            seeds, all_active);
+        };
+        if (ctx.unitWeights)
+            return run(UnitWeightProvider(provider));
+        return run(provider);
+    });
+}
+
+template <typename Semiring, typename Result>
+Result
+GraphEngine::runValues(
+    Algorithm algorithm, ContextKind kind,
+    std::span<const std::pair<NodeId, typename Semiring::Value>> seeds,
+    bool all_active)
+{
+    const auto host_start = std::chrono::steady_clock::now();
+    Context &ctx = context(kind);
+    traceRunBegin(algorithm, ctx);
+    auto outcome = runSemiring<Semiring>(ctx, seeds, all_active);
+
+    Result result;
+    outcome.values.resize(numNodes()); // drop split-node slots
+    result.values = std::move(outcome.values);
+    result.info.iterations = outcome.iterations;
+    result.info.converged = outcome.converged;
+    result.info.cancelled = outcome.cancelled;
+    result.info.stats = outcome.stats;
+    result.info.peakFrontier = outcome.peakFrontier;
+    result.info.sparseIterations = outcome.sparseIterations;
+    fillRunInfo(result.info, ctx, algorithm);
+    traceRunEnd(result.info);
+    result.info.hostMs = elapsedMs(host_start);
+    return result;
+}
+
+std::size_t
+GraphEngine::footprint(const Context &ctx, Algorithm algorithm) const
+{
+    // Dynamic mapping stores no virtual node array (numUnits is 0):
+    // that memory simply never exists on the device.
+    if (arena_)
+        return modeledFootprintBytes(options_.strategy, algorithm,
+                                     arena_->numNodes(),
+                                     arena_->numEdges(), ctx.numUnits);
+    return modeledFootprintBytes(options_.strategy, algorithm,
+                                 *ctx.scheduled, ctx.numUnits);
 }
 
 void
@@ -332,123 +453,55 @@ GraphEngine::fillRunInfo(RunInfo &info, const Context &ctx,
     info.transformMs = ctx.buildMs;
     info.transformCached = ctx.reusedFromCache;
     info.degraded = options_.degraded;
-    // Dynamic mapping stores no virtual node array: that memory simply
-    // never exists on the device.
-    const std::uint64_t virtual_nodes =
-        options_.dynamicMapping ? 0 : ctx.schedule->numUnits();
-    info.footprintBytes = modeledFootprintBytes(
-        options_.strategy, algorithm, *ctx.scheduled, virtual_nodes);
+    info.footprintBytes = footprint(ctx, algorithm);
 }
 
 DistancesResult
 GraphEngine::sssp(NodeId source)
 {
-    const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(options_.direction == Direction::Pull
-                               ? ContextKind::PullReversed
-                               : ContextKind::WeightedZero);
-    traceRunBegin(Algorithm::Sssp, ctx);
     const std::pair<NodeId, Dist> seeds[] = {{source, 0}};
-    auto outcome =
-        runSemiring<algorithms::SsspSemiring>(ctx, seeds, false);
-
-    DistancesResult result;
-    outcome.values.resize(graph_.numNodes()); // drop split-node slots
-    result.values = std::move(outcome.values);
-    result.info.iterations = outcome.iterations;
-    result.info.converged = outcome.converged;
-    result.info.cancelled = outcome.cancelled;
-    result.info.stats = outcome.stats;
-    result.info.peakFrontier = outcome.peakFrontier;
-    result.info.sparseIterations = outcome.sparseIterations;
-    fillRunInfo(result.info, ctx, Algorithm::Sssp);
-    traceRunEnd(result.info);
-    result.info.hostMs = elapsedMs(host_start);
-    return result;
+    return runValues<algorithms::SsspSemiring, DistancesResult>(
+        Algorithm::Sssp,
+        options_.direction == Direction::Pull ? ContextKind::PullReversed
+                                              : ContextKind::WeightedZero,
+        seeds, false);
 }
 
 DistancesResult
 GraphEngine::bfs(NodeId source)
 {
-    const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(options_.direction == Direction::Pull
-                               ? ContextKind::PullReversedUnit
-                               : ContextKind::UnitZero);
-    traceRunBegin(Algorithm::Bfs, ctx);
     const std::pair<NodeId, Dist> seeds[] = {{source, 0}};
-    auto outcome =
-        runSemiring<algorithms::SsspSemiring>(ctx, seeds, false);
-
-    DistancesResult result;
-    outcome.values.resize(graph_.numNodes());
-    result.values = std::move(outcome.values);
-    result.info.iterations = outcome.iterations;
-    result.info.converged = outcome.converged;
-    result.info.cancelled = outcome.cancelled;
-    result.info.stats = outcome.stats;
-    result.info.peakFrontier = outcome.peakFrontier;
-    result.info.sparseIterations = outcome.sparseIterations;
-    fillRunInfo(result.info, ctx, Algorithm::Bfs);
-    traceRunEnd(result.info);
-    result.info.hostMs = elapsedMs(host_start);
-    return result;
+    return runValues<algorithms::SsspSemiring, DistancesResult>(
+        Algorithm::Bfs,
+        options_.direction == Direction::Pull
+            ? ContextKind::PullReversedUnit
+            : ContextKind::UnitZero,
+        seeds, false);
 }
 
 WidthsResult
 GraphEngine::sswp(NodeId source)
 {
-    const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(options_.direction == Direction::Pull
-                               ? ContextKind::PullReversed
-                               : ContextKind::WeightedInf);
-    traceRunBegin(Algorithm::Sswp, ctx);
     const std::pair<NodeId, Weight> seeds[] = {{source, kInfWeight}};
-    auto outcome =
-        runSemiring<algorithms::SswpSemiring>(ctx, seeds, false);
-
-    WidthsResult result;
-    outcome.values.resize(graph_.numNodes());
-    result.values = std::move(outcome.values);
-    result.info.iterations = outcome.iterations;
-    result.info.converged = outcome.converged;
-    result.info.cancelled = outcome.cancelled;
-    result.info.stats = outcome.stats;
-    result.info.peakFrontier = outcome.peakFrontier;
-    result.info.sparseIterations = outcome.sparseIterations;
-    fillRunInfo(result.info, ctx, Algorithm::Sswp);
-    traceRunEnd(result.info);
-    result.info.hostMs = elapsedMs(host_start);
-    return result;
+    return runValues<algorithms::SswpSemiring, WidthsResult>(
+        Algorithm::Sswp,
+        options_.direction == Direction::Pull ? ContextKind::PullReversed
+                                              : ContextKind::WeightedInf,
+        seeds, false);
 }
 
 LabelsResult
 GraphEngine::cc()
 {
-    const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(options_.direction == Direction::Pull
-                               ? ContextKind::PullReversed
-                               : ContextKind::WeightedZero);
-    traceRunBegin(Algorithm::Cc, ctx);
     std::vector<std::pair<NodeId, NodeId>> seeds;
-    seeds.reserve(graph_.numNodes());
-    for (NodeId v = 0; v < graph_.numNodes(); ++v)
+    seeds.reserve(numNodes());
+    for (NodeId v = 0; v < numNodes(); ++v)
         seeds.emplace_back(v, v);
-    auto outcome =
-        runSemiring<algorithms::CcSemiring>(ctx, seeds, true);
-
-    LabelsResult result;
-    outcome.values.resize(graph_.numNodes());
-    result.values = std::move(outcome.values);
-    result.info.iterations = outcome.iterations;
-    result.info.converged = outcome.converged;
-    result.info.cancelled = outcome.cancelled;
-    result.info.stats = outcome.stats;
-    result.info.peakFrontier = outcome.peakFrontier;
-    result.info.sparseIterations = outcome.sparseIterations;
-    fillRunInfo(result.info, ctx, Algorithm::Cc);
-    traceRunEnd(result.info);
-    result.info.hostMs = elapsedMs(host_start);
-    return result;
+    return runValues<algorithms::CcSemiring, LabelsResult>(
+        Algorithm::Cc,
+        options_.direction == Direction::Pull ? ContextKind::PullReversed
+                                              : ContextKind::WeightedZero,
+        seeds, true);
 }
 
 RanksResult
@@ -465,249 +518,122 @@ GraphEngine::pagerank(const PageRankOptions &pr_options)
     const bool pull = pr_options.pull ||
                       options_.strategy == Strategy::Cusha ||
                       options_.direction == Direction::Pull;
-    return pull ? pagerankPull(pr_options) : pagerankPush(pr_options);
-}
+    const auto host_start = std::chrono::steady_clock::now();
+    Context &ctx = context(pull ? ContextKind::PullReversed
+                                : ContextKind::WeightedZero);
+    const NodeId n = numNodes();
 
-namespace {
+    RanksResult result;
+    result.values.assign(n, n == 0 ? 0.0 : 1.0 / n);
+    if (n == 0)
+        return result;
+    traceRunBegin(Algorithm::Pr, ctx);
 
-/** Materialize the full unit list of a context, through the stored
- *  schedule or through dynamic reasoning. */
-std::vector<WorkUnit>
-collectAllUnits(const Schedule &schedule, const graph::Csr &scheduled,
-                const EngineOptions &options)
-{
-    std::vector<WorkUnit> units;
-    if (options.dynamicMapping) {
-        const auto layout = options.strategy == Strategy::TigrVPlus
-                                ? transform::EdgeLayout::Coalesced
-                                : transform::EdgeLayout::Consecutive;
-        DynamicVirtualProvider provider(scheduled, options.degreeBound,
-                                        layout);
+    std::vector<Rank> next(n);
+    const Rank base = (1.0 - pr_options.damping) / n;
+    const CostModel cost = costModelFor(options_.strategy);
+    // All-active push PR needs no frontier machinery, so even
+    // Gunrock's advance does one scattered atomicAdd per edge. CuSha
+    // reads source values from sequential shard entries and writes
+    // windows sequentially: no scattered traffic at all. Other pull
+    // engines still gather ranks from scattered slots.
+    const std::uint32_t scatter =
+        pull && options_.strategy == Strategy::Cusha ? 0 : 1;
+
+    withProvider(ctx, [&](const auto &provider, const auto &forward) {
+        std::vector<WorkUnit> units;
         provider.forEachUnit(
             [&](const WorkUnit &unit) { units.push_back(unit); });
-    } else {
-        schedule.forEachUnit(
-            [&](const WorkUnit &unit) { units.push_back(unit); });
-    }
-    return units;
-}
 
-/** Units of a single node, through either mapping mode. */
-void
-collectUnitsOf(const Schedule &schedule, const graph::Csr &scheduled,
-               const EngineOptions &options, NodeId v,
-               std::vector<WorkUnit> &out)
-{
-    if (options.dynamicMapping) {
-        const auto layout = options.strategy == Strategy::TigrVPlus
-                                ? transform::EdgeLayout::Coalesced
-                                : transform::EdgeLayout::Consecutive;
-        DynamicVirtualProvider provider(scheduled, options.degreeBound,
-                                        layout);
-        provider.forEachUnitOf(
-            v, [&](const WorkUnit &unit) { out.push_back(unit); });
-    } else {
-        schedule.forEachUnitOf(
-            v, [&](const WorkUnit &unit) { out.push_back(unit); });
-    }
-}
+        // Per-chunk add logs: push records every (target, share)
+        // contribution; pull accumulates each unit's sum locally in
+        // edge order and logs one addition into the unit's own slot.
+        // The serial chunk-order replay below then performs the exact
+        // same float additions in the exact same order as a sequential
+        // unit-order sweep — ranks are bit-identical at any thread
+        // count and on either topology.
+        std::vector<std::vector<std::pair<NodeId, Rank>>> chunk_adds(
+            par::chunkCount(units.size(), par::kDefaultGrain));
 
-} // namespace
-
-RanksResult
-GraphEngine::pagerankPush(const PageRankOptions &pr_options)
-{
-    const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(ContextKind::WeightedZero);
-    const graph::Csr &g = *ctx.scheduled;
-    const NodeId n = graph_.numNodes();
-
-    RanksResult result;
-    result.values.assign(n, n == 0 ? 0.0 : 1.0 / n);
-    if (n == 0)
-        return result;
-    traceRunBegin(Algorithm::Pr, ctx);
-
-    std::vector<Rank> next(n);
-    const Rank base = (1.0 - pr_options.damping) / n;
-    const CostModel cost = costModelFor(options_.strategy);
-    const std::vector<WorkUnit> units =
-        collectAllUnits(*ctx.schedule, g, options_);
-
-    // Per-chunk add logs: the semantic pass records every (target,
-    // share) contribution instead of accumulating into shared ranks,
-    // and the serial chunk-order replay below then performs the exact
-    // same float additions in the exact same order as a sequential
-    // unit-order sweep — ranks are bit-identical at any thread count.
-    std::vector<std::vector<std::pair<NodeId, Rank>>> chunk_adds(
-        par::chunkCount(units.size(), par::kDefaultGrain));
-
-    for (unsigned iter = 0; iter < pr_options.iterations; ++iter) {
-        if (options_.cancel &&
-            options_.cancel(result.info.iterations,
-                            result.info.stats.cycles)) {
-            result.info.cancelled = true;
-            result.info.converged = false;
-            break;
-        }
-        const sim::KernelStats trace_before = result.info.stats;
-        std::fill(next.begin(), next.end(), base);
-        par::forEachChunk(
-            pool_.get(), units.size(), par::kDefaultGrain,
-            [&](std::uint64_t chunk, std::uint64_t begin,
-                std::uint64_t end, unsigned) {
-                auto &adds = chunk_adds[chunk];
-                adds.clear();
-                for (std::uint64_t tid = begin; tid < end; ++tid) {
-                    const WorkUnit &unit = units[tid];
-                    const EdgeIndex d = graph_.degree(unit.valueNode);
-                    const Rank share =
-                        d == 0 ? 0.0
-                               : pr_options.damping *
-                                     result.values[unit.valueNode] /
-                                     static_cast<Rank>(d);
-                    for (std::uint32_t j = 0; j < unit.count; ++j) {
-                        const EdgeIndex e = unit.start +
-                            static_cast<EdgeIndex>(unit.stride) * j;
-                        adds.emplace_back(g.edgeTarget(e), share);
-                    }
-                }
-            });
-        for (const auto &adds : chunk_adds)
-            for (const auto &[target, share] : adds)
-                next[target] += share;
-        result.info.stats += sim_.launch(
-            units.size(),
-            [&](std::uint64_t tid) {
-                const WorkUnit &unit = units[tid];
-                sim::ThreadWork work;
-                work.instructions =
-                    cost.threadOverhead + cost.perEdge * unit.count;
-                work.edgeCount = unit.count;
-                work.edgeStart = unit.start;
-                work.edgeStride = unit.stride;
-                // All-active PR needs no frontier machinery, so even
-                // Gunrock's advance does one scattered atomicAdd per
-                // edge here.
-                work.scatterAccessesPerEdge = 1;
-                return work;
-            },
-            pool_.get());
-        result.values.swap(next);
-        ++result.info.iterations;
-        if (options_.trace)
-            traceLoopIteration(result.info.iterations, n, units.size(),
-                               trace_before, result.info.stats);
-        // Optional early convergence: `next` now holds the previous
-        // ranks, so the round's L1 change is directly computable.
-        if (pr_options.epsilon > 0.0) {
-            double change = 0.0;
-            for (NodeId v = 0; v < n; ++v)
-                change += std::abs(result.values[v] - next[v]);
-            if (change < pr_options.epsilon)
+        for (unsigned iter = 0; iter < pr_options.iterations; ++iter) {
+            if (options_.cancel &&
+                options_.cancel(result.info.iterations,
+                                result.info.stats.cycles)) {
+                result.info.cancelled = true;
+                result.info.converged = false;
                 break;
-        }
-    }
-    fillRunInfo(result.info, ctx, Algorithm::Pr);
-    traceRunEnd(result.info);
-    result.info.hostMs = elapsedMs(host_start);
-    return result;
-}
-
-RanksResult
-GraphEngine::pagerankPull(const PageRankOptions &pr_options)
-{
-    const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(ContextKind::PullReversed);
-    const graph::Csr &reversed = *ctx.scheduled;
-    const NodeId n = graph_.numNodes();
-
-    RanksResult result;
-    result.values.assign(n, n == 0 ? 0.0 : 1.0 / n);
-    if (n == 0)
-        return result;
-    traceRunBegin(Algorithm::Pr, ctx);
-
-    std::vector<Rank> next(n);
-    const Rank base = (1.0 - pr_options.damping) / n;
-    const CostModel cost = costModelFor(options_.strategy);
-    const std::vector<WorkUnit> units =
-        collectAllUnits(*ctx.schedule, reversed, options_);
-    // CuSha reads source values from sequential shard entries and
-    // writes windows sequentially: no scattered traffic at all. Other
-    // pull engines still gather ranks from scattered slots.
-    const std::uint32_t scatter =
-        options_.strategy == Strategy::Cusha ? 0 : 1;
-
-    // Per-chunk gather logs, replayed serially in chunk order: each
-    // unit's sum is accumulated locally in edge order (as in the
-    // serial sweep) and its single addition into the unit's own slot
-    // replays in unit order — bit-identical at any thread count.
-    std::vector<std::vector<std::pair<NodeId, Rank>>> chunk_adds(
-        par::chunkCount(units.size(), par::kDefaultGrain));
-
-    for (unsigned iter = 0; iter < pr_options.iterations; ++iter) {
-        if (options_.cancel &&
-            options_.cancel(result.info.iterations,
-                            result.info.stats.cycles)) {
-            result.info.cancelled = true;
-            result.info.converged = false;
-            break;
-        }
-        const sim::KernelStats trace_before = result.info.stats;
-        std::fill(next.begin(), next.end(), base);
-        par::forEachChunk(
-            pool_.get(), units.size(), par::kDefaultGrain,
-            [&](std::uint64_t chunk, std::uint64_t begin,
-                std::uint64_t end, unsigned) {
-                auto &adds = chunk_adds[chunk];
-                adds.clear();
-                for (std::uint64_t tid = begin; tid < end; ++tid) {
-                    const WorkUnit &unit = units[tid];
-                    Rank sum = 0.0;
-                    for (std::uint32_t j = 0; j < unit.count; ++j) {
-                        const EdgeIndex e = unit.start +
-                            static_cast<EdgeIndex>(unit.stride) * j;
-                        const NodeId u = reversed.edgeTarget(e);
-                        sum += result.values[u] /
-                               static_cast<Rank>(ctx.outdegrees[u]);
+            }
+            const sim::KernelStats trace_before = result.info.stats;
+            std::fill(next.begin(), next.end(), base);
+            par::forEachChunk(
+                pool_.get(), units.size(), par::kDefaultGrain,
+                [&](std::uint64_t chunk, std::uint64_t begin,
+                    std::uint64_t end, unsigned) {
+                    auto &adds = chunk_adds[chunk];
+                    adds.clear();
+                    for (std::uint64_t tid = begin; tid < end; ++tid) {
+                        const WorkUnit &unit = units[tid];
+                        if (pull) {
+                            Rank sum = 0.0;
+                            for (std::uint32_t j = 0; j < unit.count;
+                                 ++j) {
+                                const EdgeIndex e = unit.start +
+                                    static_cast<EdgeIndex>(unit.stride) *
+                                        j;
+                                const NodeId u = provider.edgeTarget(e);
+                                sum += result.values[u] /
+                                       static_cast<Rank>(
+                                           forward.degree(u));
+                            }
+                            adds.emplace_back(unit.valueNode,
+                                              pr_options.damping * sum);
+                            continue;
+                        }
+                        const EdgeIndex d =
+                            forward.degree(unit.valueNode);
+                        const Rank share =
+                            d == 0 ? 0.0
+                                   : pr_options.damping *
+                                         result.values[unit.valueNode] /
+                                         static_cast<Rank>(d);
+                        for (std::uint32_t j = 0; j < unit.count; ++j) {
+                            const EdgeIndex e = unit.start +
+                                static_cast<EdgeIndex>(unit.stride) * j;
+                            adds.emplace_back(provider.edgeTarget(e),
+                                              share);
+                        }
                     }
-                    adds.emplace_back(unit.valueNode,
-                                      pr_options.damping * sum);
-                }
-            });
-        for (const auto &adds : chunk_adds)
-            for (const auto &[target, add] : adds)
-                next[target] += add;
-        result.info.stats += sim_.launch(
-            units.size(),
-            [&](std::uint64_t tid) {
-                const WorkUnit &unit = units[tid];
-                sim::ThreadWork work;
-                work.instructions =
-                    cost.threadOverhead + cost.perEdge * unit.count;
-                work.edgeCount = unit.count;
-                work.edgeStart = unit.start;
-                work.edgeStride = unit.stride;
-                work.scatterAccessesPerEdge = scatter;
-                return work;
-            },
-            pool_.get());
-        result.values.swap(next);
-        ++result.info.iterations;
-        if (options_.trace)
-            traceLoopIteration(result.info.iterations, n, units.size(),
-                               trace_before, result.info.stats);
-        // Optional early convergence: `next` now holds the previous
-        // ranks, so the round's L1 change is directly computable.
-        if (pr_options.epsilon > 0.0) {
-            double change = 0.0;
-            for (NodeId v = 0; v < n; ++v)
-                change += std::abs(result.values[v] - next[v]);
-            if (change < pr_options.epsilon)
-                break;
+                });
+            for (const auto &adds : chunk_adds)
+                for (const auto &[target, add] : adds)
+                    next[target] += add;
+            result.info.stats += sim_.launch(
+                units.size(),
+                [&](std::uint64_t tid) {
+                    sim::ThreadWork work =
+                        detail::describeUnit(units[tid], cost);
+                    work.scatterAccessesPerEdge = scatter;
+                    return work;
+                },
+                pool_.get());
+            result.values.swap(next);
+            ++result.info.iterations;
+            if (options_.trace)
+                detail::traceIteration(pushOptions(),
+                                       result.info.iterations, n, false,
+                                       units.size(), trace_before,
+                                       result.info.stats);
+            // Optional early convergence: `next` now holds the previous
+            // ranks, so the round's L1 change is directly computable.
+            if (pr_options.epsilon > 0.0) {
+                double change = 0.0;
+                for (NodeId v = 0; v < n; ++v)
+                    change += std::abs(result.values[v] - next[v]);
+                if (change < pr_options.epsilon)
+                    break;
+            }
         }
-    }
+    });
     fillRunInfo(result.info, ctx, Algorithm::Pr);
     traceRunEnd(result.info);
     result.info.hostMs = elapsedMs(host_start);
@@ -724,8 +650,7 @@ GraphEngine::bc(std::span<const NodeId> sources)
             "(hop-count Brandes does not survive node splitting)");
     }
     Context &ctx = context(ContextKind::WeightedZero);
-    const graph::Csr &g = *ctx.scheduled;
-    const NodeId n = graph_.numNodes();
+    const NodeId n = numNodes();
     const CostModel cost = costModelFor(options_.strategy);
     traceRunBegin(Algorithm::Bc, ctx);
 
@@ -736,82 +661,82 @@ GraphEngine::bc(std::span<const NodeId> sources)
     std::vector<double> sigma(n);
     std::vector<double> delta(n);
 
-    // Launch the units of a node set, running `body` per owned edge.
-    auto launch_nodes = [&](std::span<const NodeId> nodes, auto body) {
-        std::vector<WorkUnit> launch_units;
-        for (NodeId v : nodes)
-            collectUnitsOf(*ctx.schedule, g, options_, v, launch_units);
-        result.info.stats += sim_.launch(
-            launch_units.size(), [&](std::uint64_t tid) {
-                const WorkUnit &unit = launch_units[tid];
-                for (std::uint32_t j = 0; j < unit.count; ++j) {
-                    const EdgeIndex e = unit.start +
-                        static_cast<EdgeIndex>(unit.stride) * j;
-                    body(unit.valueNode, g.edgeTarget(e));
-                }
-                sim::ThreadWork work;
-                work.instructions =
-                    cost.threadOverhead + cost.perEdge * unit.count;
-                work.edgeCount = unit.count;
-                work.edgeStart = unit.start;
-                work.edgeStride = unit.stride;
-                work.scatterAccessesPerEdge = cost.scatterPerEdge;
-                return work;
-            });
-        ++result.info.iterations;
-    };
+    withProvider(ctx, [&](const auto &provider, const auto &) {
+        // Launch the units of a node set, running `body` per owned
+        // edge.
+        auto launch_nodes = [&](std::span<const NodeId> nodes,
+                                auto body) {
+            std::vector<WorkUnit> launch_units;
+            for (NodeId v : nodes)
+                provider.forEachUnitOf(v, [&](const WorkUnit &unit) {
+                    launch_units.push_back(unit);
+                });
+            result.info.stats += sim_.launch(
+                launch_units.size(), [&](std::uint64_t tid) {
+                    const WorkUnit &unit = launch_units[tid];
+                    for (std::uint32_t j = 0; j < unit.count; ++j) {
+                        const EdgeIndex e = unit.start +
+                            static_cast<EdgeIndex>(unit.stride) * j;
+                        body(unit.valueNode, provider.edgeTarget(e));
+                    }
+                    return detail::describeUnit(unit, cost);
+                });
+            ++result.info.iterations;
+        };
 
-    for (NodeId source : sources) {
-        // Cancellation boundary: completed sources stay accumulated,
-        // the remaining ones are skipped (the source list order is
-        // fixed, so which sources completed is deterministic).
-        if (options_.cancel &&
-            options_.cancel(result.info.iterations,
-                            result.info.stats.cycles)) {
-            result.info.cancelled = true;
-            result.info.converged = false;
-            break;
+        for (NodeId source : sources) {
+            // Cancellation boundary: completed sources stay
+            // accumulated, the remaining ones are skipped (the source
+            // list order is fixed, so which sources completed is
+            // deterministic).
+            if (options_.cancel &&
+                options_.cancel(result.info.iterations,
+                                result.info.stats.cycles)) {
+                result.info.cancelled = true;
+                result.info.converged = false;
+                break;
+            }
+            std::fill(depth.begin(), depth.end(), kInfDist);
+            std::fill(sigma.begin(), sigma.end(), 0.0);
+            std::fill(delta.begin(), delta.end(), 0.0);
+            depth[source] = 0;
+            sigma[source] = 1.0;
+
+            // Forward: level-synchronous BFS accumulating path counts.
+            std::vector<std::vector<NodeId>> levels{{source}};
+            while (!levels.back().empty()) {
+                const Dist level = levels.size() - 1;
+                std::vector<NodeId> next_level;
+                launch_nodes(levels.back(), [&](NodeId v, NodeId dst) {
+                    if (depth[dst] == kInfDist) {
+                        depth[dst] = level + 1;
+                        next_level.push_back(dst);
+                    }
+                    if (depth[dst] == level + 1)
+                        sigma[dst] += sigma[v];
+                });
+                levels.push_back(std::move(next_level));
+            }
+
+            // Backward: dependency accumulation, deepest level first.
+            for (std::size_t l = levels.size(); l-- > 1;) {
+                const std::vector<NodeId> &level_nodes = levels[l - 1];
+                if (level_nodes.empty())
+                    continue;
+                const Dist level = l - 1;
+                launch_nodes(level_nodes, [&](NodeId v, NodeId dst) {
+                    if (depth[dst] == level + 1 && sigma[dst] > 0.0) {
+                        delta[v] += sigma[v] / sigma[dst] *
+                                    (1.0 + delta[dst]);
+                    }
+                });
+            }
+
+            for (NodeId v = 0; v < n; ++v)
+                if (v != source)
+                    result.values[v] += delta[v];
         }
-        std::fill(depth.begin(), depth.end(), kInfDist);
-        std::fill(sigma.begin(), sigma.end(), 0.0);
-        std::fill(delta.begin(), delta.end(), 0.0);
-        depth[source] = 0;
-        sigma[source] = 1.0;
-
-        // Forward: level-synchronous BFS accumulating path counts.
-        std::vector<std::vector<NodeId>> levels{{source}};
-        while (!levels.back().empty()) {
-            const Dist level = levels.size() - 1;
-            std::vector<NodeId> next_level;
-            launch_nodes(levels.back(), [&](NodeId v, NodeId dst) {
-                if (depth[dst] == kInfDist) {
-                    depth[dst] = level + 1;
-                    next_level.push_back(dst);
-                }
-                if (depth[dst] == level + 1)
-                    sigma[dst] += sigma[v];
-            });
-            levels.push_back(std::move(next_level));
-        }
-
-        // Backward: dependency accumulation, deepest level first.
-        for (std::size_t l = levels.size(); l-- > 1;) {
-            const std::vector<NodeId> &level_nodes = levels[l - 1];
-            if (level_nodes.empty())
-                continue;
-            const Dist level = l - 1;
-            launch_nodes(level_nodes, [&](NodeId v, NodeId dst) {
-                if (depth[dst] == level + 1 && sigma[dst] > 0.0) {
-                    delta[v] += sigma[v] / sigma[dst] *
-                                (1.0 + delta[dst]);
-                }
-            });
-        }
-
-        for (NodeId v = 0; v < n; ++v)
-            if (v != source)
-                result.values[v] += delta[v];
-    }
+    });
     fillRunInfo(result.info, ctx, Algorithm::Bc);
     traceRunEnd(result.info);
     result.info.hostMs = elapsedMs(host_start);
@@ -822,6 +747,12 @@ TrianglesResult
 GraphEngine::triangles()
 {
     const auto host_start = std::chrono::steady_clock::now();
+    if (arena_) {
+        throw std::invalid_argument(
+            "tigr: triangle counting intersects row-sorted neighbor "
+            "lists, which only a dense graph has; run it on an engine "
+            "over toCsr()");
+    }
     if (options_.strategy == Strategy::TigrUdt) {
         throw std::invalid_argument(
             "tigr: triangle counting is a neighborhood analysis and "
@@ -832,14 +763,17 @@ GraphEngine::triangles()
     Context &ctx = context(ContextKind::SortedRows);
     traceRunBegin(Algorithm::Cc, ctx);
     const graph::Csr &g = *ctx.scheduled;
-    const NodeId n = graph_.numNodes();
+    const NodeId n = numNodes();
     const CostModel cost = costModelFor(options_.strategy);
 
     TrianglesResult result;
     result.perNode.assign(n, 0);
 
-    const std::vector<WorkUnit> units =
-        collectAllUnits(*ctx.schedule, g, options_);
+    std::vector<WorkUnit> units;
+    withProvider(ctx, [&](const auto &provider, const auto &) {
+        provider.forEachUnit(
+            [&](const WorkUnit &unit) { units.push_back(unit); });
+    });
 
     // Chunked counting pass: per-chunk triangle totals and per-node
     // increment logs merge serially in chunk order (integer counters,
@@ -903,15 +837,8 @@ GraphEngine::triangles()
     result.info.stats += sim_.launch(
         units.size(),
         [&](std::uint64_t tid) {
-            const WorkUnit &unit = units[tid];
-            sim::ThreadWork work;
-            work.instructions = cost.threadOverhead +
-                                cost.perEdge * unit.count +
-                                2 * unit_steps[tid];
-            work.edgeCount = unit.count;
-            work.edgeStart = unit.start;
-            work.edgeStride = unit.stride;
-            work.scatterAccessesPerEdge = cost.scatterPerEdge;
+            sim::ThreadWork work = detail::describeUnit(units[tid], cost);
+            work.instructions += 2 * unit_steps[tid];
             return work;
         },
         pool_.get());
@@ -925,13 +852,10 @@ GraphEngine::triangles()
 std::size_t
 GraphEngine::footprintBytes(Algorithm algorithm)
 {
-    Context &ctx = context(algorithm == Algorithm::Pr
-                               ? ContextKind::PullReversed
-                               : ContextKind::WeightedZero);
-    const std::uint64_t virtual_nodes =
-        options_.dynamicMapping ? 0 : ctx.schedule->numUnits();
-    return modeledFootprintBytes(options_.strategy, algorithm,
-                                 *ctx.scheduled, virtual_nodes);
+    return footprint(context(algorithm == Algorithm::Pr
+                                 ? ContextKind::PullReversed
+                                 : ContextKind::WeightedZero),
+                     algorithm);
 }
 
 } // namespace tigr::engine

@@ -9,6 +9,20 @@
  * transformed graphs per weight policy, virtual node arrays, reversed
  * graphs for pull) and reports per-run simulator counters alongside the
  * results.
+ *
+ * The same engine also runs straight off a mutated DynamicGraph: push
+ * over the forward slack arena, pull over the mirrored reverse arena,
+ * with no dense toCsr()/reversed() materialization. Each analysis is
+ * written once over a work-unit provider chosen once per run —
+ * Schedule, DynamicVirtualProvider (CSR rows or an arena side) or
+ * ArenaVirtualProvider (a maintained virtualizer) — so the dense and
+ * arena topologies compute bit-identical values by construction: both
+ * enumerate the same units in the same order (a family is a pure
+ * function of (segment begin, degree, K, layout)), chunk them by
+ * par::kDefaultGrain and merge per-chunk logs serially in chunk order.
+ * Only arena slot numbers differ, which the warp simulator's
+ * coalescing counters may observe but values, digests, iteration
+ * counts and convergence never do.
  */
 #pragma once
 
@@ -22,6 +36,11 @@
 #include "engine/strategy.hpp"
 #include "graph/csr.hpp"
 #include "par/thread_pool.hpp"
+
+namespace tigr::dynamic {
+class DynamicGraph;
+class IncrementalVirtualizer;
+} // namespace tigr::dynamic
 
 namespace tigr::engine {
 
@@ -59,10 +78,10 @@ struct RunInfo
     std::uint64_t peakFrontier = 0;
     /** True when this run executed on a degradation fallback (copied
      *  from EngineOptions::degraded by the service layer's resilience
-     *  ladder — e.g. an on-the-fly DynamicVirtualProvider run after a
-     *  transform-cache failure). Degraded runs compute values
-     *  bit-identical to their non-degraded counterparts; only the
-     *  enumeration cost differs. */
+     *  ladder — e.g. a dense run with on-the-fly family enumeration,
+     *  DynamicVirtualProvider over CSR rows, after a transform-cache
+     *  failure). Degraded runs compute values bit-identical to their
+     *  non-degraded counterparts; only the enumeration cost differs. */
     bool degraded = false;
     /** Iterations that ran with the sparse (compacted) frontier — or,
      *  in pull direction, with the active-destination filter. Each
@@ -160,9 +179,10 @@ struct SharedSchedule
 /**
  * Vertex-centric graph analytics engine over the simulated GPU.
  *
- * The referenced graph must outlive the engine. All analyses are
- * deterministic: the same graph and options produce bit-identical
- * results and identical simulator counters.
+ * The referenced graph (and any maintained virtualizer) must outlive
+ * the engine. All analyses are deterministic: the same graph and
+ * options produce bit-identical results and identical simulator
+ * counters.
  */
 class GraphEngine
 {
@@ -179,12 +199,34 @@ class GraphEngine
                          std::shared_ptr<const SharedSchedule> shared =
                              nullptr);
 
+    /**
+     * An engine over a DynamicGraph's slack arenas. Only the virtual
+     * strategies (TigrV / TigrV+) are supported — they are the ones
+     * whose decomposition is recomputable from arena geometry alone —
+     * so any other strategy throws std::invalid_argument, as do
+     * triangles(). A maintained virtualizer serves a side when its
+     * (K, layout, side) matches the options and dynamic mapping is
+     * off (the incremental O(touched) repair the arena exists for);
+     * otherwise the side's families are enumerated on the fly — the
+     * two are unobservable-identical, simulator counters included.
+     * With a maintained view there is no transform to charge: runs
+     * report transformMs = 0 and transformCached = true.
+     *
+     * @param graph Mutated dynamic graph (kept by reference).
+     * @param forward Maintained Out-side arena virtualizer, or nullptr
+     *        to enumerate forward families on the fly.
+     * @param reverse Maintained In-side arena virtualizer, or nullptr
+     *        to enumerate reverse families on the fly.
+     * @param options Strategy and tuning; must be TigrV or TigrV+.
+     */
+    GraphEngine(const dynamic::DynamicGraph &graph,
+                const dynamic::IncrementalVirtualizer *forward,
+                const dynamic::IncrementalVirtualizer *reverse,
+                EngineOptions options = {});
+
     ~GraphEngine();
     GraphEngine(const GraphEngine &) = delete;
     GraphEngine &operator=(const GraphEngine &) = delete;
-
-    /** The input graph. */
-    const graph::Csr &graph() const { return graph_; }
 
     /** The options the engine was built with. */
     const EngineOptions &options() const { return options_; }
@@ -219,10 +261,13 @@ class GraphEngine
     LabelsResult cc();
 
     /**
-     * PageRank, pull-based over the reversed graph with the original
-     * outdegrees (Corollary 4); the vertex function is associative as
-     * Theorem 3 requires. Unsupported under TigrUdt (the physical
-     * transformation changes outdegrees) — throws std::invalid_argument.
+     * PageRank. Pushes rank shares along forward units (the paper's
+     * Tigr PR) by default; pull mode (PageRankOptions::pull, a pull
+     * engine, or CuSha) gathers over the reversed graph with the
+     * original outdegrees (Corollary 4), the vertex function being
+     * associative as Theorem 3 requires. Unsupported under TigrUdt
+     * (the physical transformation changes outdegrees) — throws
+     * std::invalid_argument.
      */
     RanksResult pagerank(const PageRankOptions &pr_options = {});
 
@@ -239,7 +284,8 @@ class GraphEngine
      * destroy it (the paper's applicability discussion), so TigrUdt
      * throws std::invalid_argument; every other strategy — including
      * the virtual ones, whose physical graph is untouched — computes
-     * the exact count.
+     * the exact count. Dense engines only: an arena engine throws
+     * std::invalid_argument.
      */
     TrianglesResult triangles();
 
@@ -250,7 +296,9 @@ class GraphEngine
   private:
     struct Context;
 
-    /** Which cached schedule context an analysis needs. */
+    /** Which schedule context an analysis needs. On an arena engine a
+     *  context is one arena side: the Weighted/Unit kinds enumerate
+     *  the forward arena, the Pull kinds the reverse one. */
     enum class ContextKind
     {
         WeightedZero,     ///< Graph weights, zero dumb weights
@@ -263,27 +311,43 @@ class GraphEngine
         SortedRows,       ///< Row-sorted copy (triangle counting).
     };
 
+    /** The context of @p kind: cached on a dense engine, re-derived
+     *  from the live arena on every call of an arena engine. */
     Context &context(ContextKind kind);
+    Context &arenaContext(ContextKind kind);
     PushOptions pushOptions() const;
+    NodeId numNodes() const;
 
     /** True when the injected shared schedule matches @p ctx (same
      *  scheduled graph object and build parameters). */
     bool sharedApplies(const Context &ctx) const;
 
-    /** Run a semiring analysis through the configured direction and
-     *  mapping mode (stored schedule or dynamic reasoning). */
+    /** Invoke @p fn(provider, forward) with the unit provider serving
+     *  @p ctx and the forward topology (graph::Csr or DynamicGraph,
+     *  for outdegrees and the pull destination filter): one dispatch
+     *  per run, so the per-edge loops see a concrete provider type. */
+    template <typename Fn>
+    decltype(auto) withProvider(const Context &ctx, Fn &&fn);
+
+    /** Run a semiring analysis through the configured direction. */
     template <typename Semiring>
     PushOutcome<Semiring>
-    runSemiring(Context &ctx,
+    runSemiring(const Context &ctx,
                 std::span<const std::pair<
                     NodeId, typename Semiring::Value>> seeds,
                 bool all_active);
 
-    /** Push-based PR over the forward graph (the paper's Tigr PR). */
-    RanksResult pagerankPush(const PageRankOptions &pr_options);
-    /** Pull-based PR over the reversed graph (CuSha's shard PR, also
-     *  selectable via PageRankOptions::pull). */
-    RanksResult pagerankPull(const PageRankOptions &pr_options);
+    /** One worklist analysis end to end: context, trace, semiring run
+     *  and the outcome's RunInfo. */
+    template <typename Semiring, typename Result>
+    Result runValues(Algorithm algorithm, ContextKind kind,
+                     std::span<const std::pair<
+                         NodeId, typename Semiring::Value>> seeds,
+                     bool all_active);
+
+    /** Modeled footprint of @p algorithm over @p ctx. */
+    std::size_t footprint(const Context &ctx,
+                          Algorithm algorithm) const;
 
     /** Fill the strategy/transform metadata of @p info from @p ctx. */
     void fillRunInfo(RunInfo &info, const Context &ctx,
@@ -296,13 +360,14 @@ class GraphEngine
      *  by the run's simulated cycles, keeping traces of consecutive
      *  analyses on one sink monotonic. */
     void traceRunEnd(const RunInfo &info);
-    /** Record one Iteration event of an engine-driven loop (PR). */
-    void traceLoopIteration(unsigned iteration, std::uint64_t frontier,
-                            std::uint64_t units,
-                            const sim::KernelStats &before,
-                            const sim::KernelStats &after);
 
-    const graph::Csr &graph_;
+    /** Exactly one topology is set: the dense input graph or the
+     *  arena graph. */
+    const graph::Csr *dense_ = nullptr;
+    const dynamic::DynamicGraph *arena_ = nullptr;
+    /** Maintained arena virtualizers (arena engines; may be null). */
+    const dynamic::IncrementalVirtualizer *forwardVirt_ = nullptr;
+    const dynamic::IncrementalVirtualizer *reverseVirt_ = nullptr;
     EngineOptions options_;
     /** Externally cached forward schedule (may be null). */
     std::shared_ptr<const SharedSchedule> shared_;

@@ -4,9 +4,12 @@
  * paper, host-simulated) and pull (the gather scheme of Section 2.1,
  * whose correctness under virtualization is Theorem 3).
  *
- * Both are templates over a *unit provider* — Schedule (stored work
- * units) or DynamicVirtualProvider (on-the-fly mapping reasoning) —
- * and over a value semiring. Semantics run on the host, so results are
+ * Both are templates over a *unit provider* and over a value semiring.
+ * Three providers exist: Schedule (stored work units over a CSR),
+ * DynamicVirtualProvider (on-the-fly mapping reasoning over CSR rows
+ * or one side of a DynamicGraph slack arena) and ArenaVirtualProvider
+ * (the units of a maintained arena-addressed IncrementalVirtualizer);
+ * UnitWeightProvider adapts any of them to unit weights. Semantics run on the host, so results are
  * exact and deterministic; the WarpSimulator charges each launch's
  * warp occupancy, coalescing, and cycles (see DESIGN.md's substitution
  * note).
@@ -72,7 +75,7 @@ struct PushOptions
      *  never depend on the pool's size. */
     par::ThreadPool *pool = nullptr;
     /** Optional cancellation hook (deadline budgets); null = never. */
-    CancelCheck cancel;
+    CancelCheck cancel = nullptr;
     /** Frontier representation of worklist iterations (push only);
      *  values and iteration counts are identical for every mode. */
     FrontierMode frontier = FrontierMode::Adaptive;
@@ -284,10 +287,11 @@ sparseIteration(const PushOptions &options, std::uint64_t count,
  *
  * @tparam Semiring One of the semirings in algorithms/semirings.hpp.
  * @tparam Provider Schedule, DynamicVirtualProvider, or
- *         ArenaVirtualProvider. The driver reads edges exclusively
+ *         ArenaVirtualProvider (optionally wrapped in
+ *         UnitWeightProvider). The driver reads edges exclusively
  *         through provider.edgeTarget/edgeWeight, so work-unit starts
  *         may index any edge array the provider owns — the dense CSR
- *         or the DynamicGraph slack arena.
+ *         or a DynamicGraph slack arena.
  * @param provider The work-unit decomposition to execute over.
  * @param sim Simulator charged for every launch.
  * @param options Iteration control.

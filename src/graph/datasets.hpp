@@ -40,13 +40,14 @@ struct DatasetSpec
 
     // Reference values from Table 3 of the paper, used by EXPERIMENTS.md
     // and the table3_datasets benchmark for side-by-side reporting.
-    std::uint64_t paperNodes;     ///< #Nodes in the paper.
-    std::uint64_t paperEdges;     ///< #Edges in the paper.
-    std::uint64_t paperMaxDegree; ///< dmax in the paper.
-    unsigned paperDiameter;       ///< d in the paper.
-    NodeId paperKudt;             ///< Degree bound the paper used for UDT.
-    NodeId paperKv;               ///< Degree bound the paper used for
-                                  ///< virtual transformation (always 10).
+    // Zero for ad-hoc specs that have no paper counterpart.
+    std::uint64_t paperNodes = 0;     ///< #Nodes in the paper.
+    std::uint64_t paperEdges = 0;     ///< #Edges in the paper.
+    std::uint64_t paperMaxDegree = 0; ///< dmax in the paper.
+    unsigned paperDiameter = 0;       ///< d in the paper.
+    NodeId paperKudt = 0; ///< Degree bound the paper used for UDT.
+    NodeId paperKv = 0;   ///< Degree bound the paper used for virtual
+                          ///< transformation (always 10).
 };
 
 /** The six stand-ins, ordered as in Table 3 (smallest to largest). */

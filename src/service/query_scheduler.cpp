@@ -7,7 +7,6 @@
 #include <cmath>
 #include <thread>
 
-#include "engine/arena_engine.hpp"
 #include "graph/io.hpp"
 #include "par/thread_pool.hpp"
 
@@ -21,6 +20,17 @@ std::uint64_t
 digestOf(const std::vector<T> &values)
 {
     return graph::fnv1a64(values.data(), values.size() * sizeof(T));
+}
+
+/** Copy an analysis result's run info and value digest into
+ *  @p result. */
+template <typename Result>
+void
+recordRun(QueryResult &result, const Result &run)
+{
+    result.info = run.info;
+    result.digest = digestOf(run.values);
+    result.values = run.values.size();
 }
 
 /** True when a cached forward schedule can ever apply to this spec:
@@ -263,67 +273,41 @@ QueryScheduler::runAttempt(
     // Exercises real allocation-failure paths (raises bad_alloc).
     TIGR_FAULT_POINT(fault::Site::Alloc);
 
-    auto run = [&](auto &engine) {
-        switch (spec.algorithm) {
-      case engine::Algorithm::Bfs: {
-        auto r = engine.bfs(spec.source);
-        result.info = r.info;
-        result.digest = digestOf(r.values);
-        result.values = r.values.size();
-        break;
-      }
-      case engine::Algorithm::Sssp: {
-        auto r = engine.sssp(spec.source);
-        result.info = r.info;
-        result.digest = digestOf(r.values);
-        result.values = r.values.size();
-        break;
-      }
-      case engine::Algorithm::Sswp: {
-        auto r = engine.sswp(spec.source);
-        result.info = r.info;
-        result.digest = digestOf(r.values);
-        result.values = r.values.size();
-        break;
-      }
-      case engine::Algorithm::Cc: {
-        auto r = engine.cc();
-        result.info = r.info;
-        result.digest = digestOf(r.values);
-        result.values = r.values.size();
-        break;
-      }
-      case engine::Algorithm::Pr: {
-        engine::PageRankOptions pr;
-        pr.iterations = spec.prIterations;
-        auto r = engine.pagerank(pr);
-        result.info = r.info;
-        result.digest = digestOf(r.values);
-        result.values = r.values.size();
-        break;
-      }
-      case engine::Algorithm::Bc: {
-        const std::array<NodeId, 1> sources{spec.source};
-        auto r = engine.bc(sources);
-        result.info = r.info;
-        result.digest = digestOf(r.values);
-        result.values = r.values.size();
-        break;
-      }
-        }
-    };
+    std::optional<engine::GraphEngine> engine;
     if (arena_served) {
         // Straight off the live arena: no dense StoredGraph, no cached
         // schedule. The providers enumerate the same units a dense
         // schedule would, so values/digests are bit-identical to the
         // dense path (the differential fuzz suite's invariant).
         const ArenaView view = store_.arenaView(spec.graph);
-        engine::ArenaEngine engine(*view.graph, view.forward,
-                                   view.reverse, opts);
-        run(engine);
+        engine.emplace(*view.graph, view.forward, view.reverse, opts);
     } else {
-        engine::GraphEngine engine(entry->graph, opts, shared);
-        run(engine);
+        engine.emplace(entry->graph, opts, shared);
+    }
+    switch (spec.algorithm) {
+      case engine::Algorithm::Bfs:
+        recordRun(result, engine->bfs(spec.source));
+        break;
+      case engine::Algorithm::Sssp:
+        recordRun(result, engine->sssp(spec.source));
+        break;
+      case engine::Algorithm::Sswp:
+        recordRun(result, engine->sswp(spec.source));
+        break;
+      case engine::Algorithm::Cc:
+        recordRun(result, engine->cc());
+        break;
+      case engine::Algorithm::Pr: {
+        engine::PageRankOptions pr;
+        pr.iterations = spec.prIterations;
+        recordRun(result, engine->pagerank(pr));
+        break;
+      }
+      case engine::Algorithm::Bc: {
+        const std::array<NodeId, 1> sources{spec.source};
+        recordRun(result, engine->bc(sources));
+        break;
+      }
     }
 }
 

@@ -2,6 +2,8 @@
 
 #include <new>
 
+#include "service/fileio.hpp"
+#include "service/journal.hpp"
 #include "service/snapshot.hpp"
 
 namespace tigr::service {
@@ -18,6 +20,7 @@ serviceErrorKindName(ServiceErrorKind kind)
       case ServiceErrorKind::Engine: return "engine";
       case ServiceErrorKind::Resource: return "resource";
       case ServiceErrorKind::Mutation: return "mutation";
+      case ServiceErrorKind::Durability: return "durability";
     }
     return "unknown";
 }
@@ -28,6 +31,11 @@ ServiceError::retryable() const
     switch (kind) {
       case ServiceErrorKind::InvalidQuery:
       case ServiceErrorKind::Quarantined:
+        return false;
+      // A failed journal write leaves the batch unacknowledged, yet
+      // some of its bytes may already be on disk: a blind retry could
+      // journal the batch twice. Recovery, not retry, resolves it.
+      case ServiceErrorKind::Durability:
         return false;
       case ServiceErrorKind::Snapshot:
       case ServiceErrorKind::TransformBuild:
@@ -69,11 +77,20 @@ classifyFailure(const std::exception &e)
           case fault::Site::MutationCompact:
             error.kind = ServiceErrorKind::Mutation;
             break;
+          case fault::Site::JournalAppend:
+          case fault::Site::JournalSync:
+            error.kind = ServiceErrorKind::Durability;
+            break;
         }
         return error;
     }
     if (dynamic_cast<const SnapshotError *>(&e)) {
         error.kind = ServiceErrorKind::Snapshot;
+        return error;
+    }
+    if (dynamic_cast<const JournalError *>(&e) ||
+        dynamic_cast<const io::IoError *>(&e)) {
+        error.kind = ServiceErrorKind::Durability;
         return error;
     }
     if (dynamic_cast<const std::bad_alloc *>(&e)) {

@@ -40,6 +40,7 @@ enum class ServiceErrorKind
     Engine,         ///< The engine threw mid-run.
     Resource,       ///< Allocation failure (std::bad_alloc).
     Mutation,       ///< Applying or compacting a mutation batch failed.
+    Durability,     ///< Journaling a mutation batch failed (I/O).
 };
 
 /** Display name ("invalid-query", "transform-build", ...). */
@@ -59,8 +60,8 @@ struct ServiceError
 };
 
 /** Map a caught exception to the taxonomy: InjectedFault by site,
- *  SnapshotError -> Snapshot, bad_alloc -> Resource, anything else ->
- *  Engine. */
+ *  SnapshotError -> Snapshot, JournalError / io::IoError ->
+ *  Durability, bad_alloc -> Resource, anything else -> Engine. */
 ServiceError classifyFailure(const std::exception &e);
 
 /**

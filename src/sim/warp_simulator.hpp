@@ -10,13 +10,15 @@
  * records. This keeps simulation O(total work) while charging exactly
  * the costs the paper's analysis is about.
  *
- * Edge-array slots are opaque addresses to the simulator: an
- * arena-addressed provider (engine/arena_provider.hpp) hands it slots
- * in the DynamicGraph slack arena rather than a dense CSR, which can
- * shift memTransactions/coalescing accounting (segments relocate to
- * the arena tail as a graph mutates) but never any analysis value —
- * the engines compute semantics from the provider's edges, not from
- * the simulated addresses.
+ * Edge-array slots are opaque addresses to the simulator: the
+ * arena-addressed providers (ArenaVirtualProvider in
+ * engine/arena_provider.hpp, DynamicVirtualProvider over an arena side
+ * in engine/dynamic_provider.hpp) hand it slots in a DynamicGraph
+ * slack arena rather than a dense CSR, which can shift
+ * memTransactions/coalescing accounting (segments relocate to the
+ * arena tail as a graph mutates) but never any analysis value — the
+ * engines compute semantics from the provider's edges, not from the
+ * simulated addresses.
  */
 #pragma once
 

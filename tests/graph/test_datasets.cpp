@@ -9,6 +9,15 @@
 #include "graph/stats.hpp"
 
 namespace tigr::graph {
+
+// Print a spec as its name: gtest's default byte dump would put the
+// heap address of `name` into every DatasetShape test name.
+void
+PrintTo(const DatasetSpec &spec, std::ostream *os)
+{
+    *os << spec.name;
+}
+
 namespace {
 
 TEST(Datasets, SixStandardDatasetsInPaperOrder)

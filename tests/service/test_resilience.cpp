@@ -31,7 +31,9 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "service/fileio.hpp"
 #include "service/graph_store.hpp"
+#include "service/journal.hpp"
 #include "service/query_scheduler.hpp"
 #include "service/resilience.hpp"
 #include "service/script.hpp"
@@ -230,6 +232,35 @@ TEST(ServiceErrorTaxonomy, ClassifiesExceptionsByTypeAndSite)
     EXPECT_FALSE(retryable(ServiceErrorKind::Quarantined));
     EXPECT_TRUE(retryable(ServiceErrorKind::Resource));
     EXPECT_TRUE(retryable(ServiceErrorKind::Engine));
+}
+
+TEST(ServiceErrorTaxonomy, JournalFailuresAreTerminalDurabilityErrors)
+{
+    // A failed append write surfaces from GraphStore::mutate as a
+    // JournalError; a raw file-layer failure as io::IoError.
+    const JournalError append(JournalErrorKind::Io, "x");
+    EXPECT_EQ(classifyFailure(append).kind, ServiceErrorKind::Durability);
+    const JournalError foreign(JournalErrorKind::BadMagic, "x");
+    EXPECT_EQ(classifyFailure(foreign).kind,
+              ServiceErrorKind::Durability);
+    const io::IoError raw("x");
+    EXPECT_EQ(classifyFailure(raw).kind, ServiceErrorKind::Durability);
+    for (const fault::Site site :
+         {fault::Site::JournalAppend, fault::Site::JournalSync}) {
+        const fault::InjectedFault injected(site, "x");
+        const ServiceError error = classifyFailure(injected);
+        EXPECT_EQ(error.kind, ServiceErrorKind::Durability);
+        ASSERT_TRUE(error.site.has_value());
+        EXPECT_EQ(*error.site, site);
+    }
+
+    // Never retried: the batch was never acknowledged, and a blind
+    // retry could journal it twice.
+    ServiceError error;
+    error.kind = ServiceErrorKind::Durability;
+    EXPECT_FALSE(error.retryable());
+    EXPECT_EQ(serviceErrorKindName(ServiceErrorKind::Durability),
+              "durability");
 }
 
 TEST(RetryPolicyTest, BackoffIsExponentialInSimulatedTime)

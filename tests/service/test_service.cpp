@@ -64,7 +64,8 @@ TEST(GraphStore, AddressesStayStableAcrossInsertions)
     GraphStore store;
     const graph::Csr *first = &store.add("a", ringGraph(32)).graph;
     for (int i = 0; i < 64; ++i)
-        store.add("g" + std::to_string(i), ringGraph(16));
+        store.add(std::string("g").append(std::to_string(i)),
+                  ringGraph(16));
     EXPECT_EQ(&store.at("a").graph, first);
     EXPECT_EQ(store.names().front(), "a"); // sorted order
 }

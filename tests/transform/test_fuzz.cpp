@@ -30,9 +30,13 @@ enum class GenKind
     Star,
 };
 
+// gtest names each case after a byte dump of this struct, so the gap
+// before `seed` is an explicit zeroed member: implicit padding would
+// leak stack garbage into the test names and change them per run.
 struct FuzzCase
 {
     GenKind generator;
+    std::uint32_t reserved = 0;
     std::uint64_t seed;
     NodeId degreeBound;
     Topology topology;
@@ -159,8 +163,10 @@ fuzzCases()
     for (GenKind gen : generators)
         for (Topology topology : topologies)
             cases.push_back(
-                {gen, ++seed,
-                 static_cast<NodeId>(3 + (seed * 7) % 14), topology});
+                {.generator = gen,
+                 .seed = ++seed,
+                 .degreeBound = static_cast<NodeId>(3 + (seed * 7) % 14),
+                 .topology = topology});
     return cases;
 }
 

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "ref/oracles.hpp"
@@ -98,8 +100,10 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values<EdgeIndex>(5, 14, 100, 1000, 10007),
         ::testing::Values<NodeId>(3, 4, 10, 32)),
     [](const auto &info) {
-        return "d" + std::to_string(std::get<0>(info.param)) + "_K" +
-               std::to_string(std::get<1>(info.param));
+        std::ostringstream name;
+        name << 'd' << std::get<0>(info.param) << "_K"
+             << std::get<1>(info.param);
+        return name.str();
     });
 
 TEST(RecursiveStar, Figure6CaseLeavesResiduals)

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <set>
+#include <sstream>
 
 #include "transform/udt.hpp"
 
@@ -119,8 +120,10 @@ INSTANTIATE_TEST_SUITE_P(
                                      100000),
         ::testing::Values<NodeId>(2, 3, 4, 8, 10, 32)),
     [](const auto &info) {
-        return "d" + std::to_string(std::get<0>(info.param)) + "_K" +
-               std::to_string(std::get<1>(info.param));
+        std::ostringstream name;
+        name << 'd' << std::get<0>(info.param) << "_K"
+             << std::get<1>(info.param);
+        return name.str();
     });
 
 TEST(Udt, HeightOneWhenSingleSplitSuffices)
