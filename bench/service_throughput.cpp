@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -54,16 +53,6 @@ rmat18()
     options.weightSeed = 18;
     return graph::GraphBuilder(options).build(graph::rmat(
         {.nodes = nodes, .edges = EdgeIndex{nodes} * 16, .seed = 18}));
-}
-
-void
-writeEdgeListText(const graph::Csr &g, const fs::path &path)
-{
-    std::ofstream out(path);
-    for (NodeId u = 0; u < g.numNodes(); ++u)
-        for (EdgeIndex e = g.edgeBegin(u); e < g.edgeEnd(u); ++e)
-            out << u << ' ' << g.edgeTarget(e) << ' '
-                << g.edgeWeight(e) << '\n';
 }
 
 std::vector<service::QuerySpec>
@@ -107,7 +96,7 @@ main()
               << g.numEdges() << " edges (scale "
               << bench::benchScale() << ")\n\n";
 
-    writeEdgeListText(g, text);
+    graph::saveEdgeListFile(g.toCoo(), text);
     service::saveSnapshotFile(g, snap);
 
     bench::TablePrinter ingest({"ingest path", "ms", "speedup"});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -70,6 +71,21 @@ openOutput(const std::filesystem::path &path, std::ios::openmode mode)
     return out;
 }
 
+/** Parse @p line as the `# nodes N edges M` header; false for any
+ *  other comment. */
+bool
+parseEdgeListHeader(const std::string &line, std::uint64_t &nodes,
+                    std::uint64_t &edges)
+{
+    std::istringstream fields(line.substr(1));
+    std::string nodes_key;
+    std::string edges_key;
+    std::string extra;
+    return fields >> nodes_key >> nodes >> edges_key >> edges &&
+           nodes_key == "nodes" && edges_key == "edges" &&
+           !(fields >> extra);
+}
+
 } // namespace
 
 std::uint64_t
@@ -90,21 +106,58 @@ loadEdgeList(std::istream &in)
     CooEdges coo;
     std::string line;
     std::size_t line_no = 0;
+    bool has_header = false;
+    std::uint64_t header_nodes = 0;
+    std::uint64_t header_edges = 0;
     while (std::getline(in, line)) {
         ++line_no;
-        if (line.empty() || line[0] == '#' || line[0] == '%')
+        if (line.empty() || line[0] == '%')
             continue;
+        if (line[0] == '#') {
+            std::uint64_t nodes = 0;
+            std::uint64_t edges = 0;
+            if (!parseEdgeListHeader(line, nodes, edges))
+                continue;
+            if (has_header) {
+                throw EdgeListError("tigr: second edge list header on line " +
+                                    std::to_string(line_no));
+            }
+            if (nodes > std::numeric_limits<NodeId>::max()) {
+                throw EdgeListError("tigr: edge list header on line " +
+                                    std::to_string(line_no) +
+                                    " declares too many nodes");
+            }
+            has_header = true;
+            header_nodes = nodes;
+            header_edges = edges;
+            continue;
+        }
         std::istringstream fields(line);
         std::uint64_t src = 0;
         std::uint64_t dst = 0;
         std::uint64_t weight = 1;
         if (!(fields >> src >> dst)) {
-            throw std::runtime_error(
+            throw EdgeListError(
                 "tigr: malformed edge list line " + std::to_string(line_no));
         }
         fields >> weight; // optional third column
         coo.add(static_cast<NodeId>(src), static_cast<NodeId>(dst),
                 static_cast<Weight>(weight));
+    }
+    if (has_header) {
+        if (coo.numNodes() > header_nodes) {
+            throw EdgeListError("tigr: edge list endpoint " +
+                                std::to_string(coo.numNodes() - 1) +
+                                " is outside the header's " +
+                                std::to_string(header_nodes) + " nodes");
+        }
+        if (coo.numEdges() != header_edges) {
+            throw EdgeListError("tigr: edge list holds " +
+                                std::to_string(coo.numEdges()) +
+                                " edges, header declares " +
+                                std::to_string(header_edges));
+        }
+        coo.ensureNodes(static_cast<NodeId>(header_nodes));
     }
     return coo;
 }
@@ -119,6 +172,8 @@ loadEdgeListFile(const std::filesystem::path &path)
 void
 saveEdgeList(const CooEdges &coo, std::ostream &out)
 {
+    out << "# nodes " << coo.numNodes() << " edges " << coo.numEdges()
+        << '\n';
     for (const Edge &e : coo.edges())
         out << e.src << ' ' << e.dst << ' ' << e.weight << '\n';
 }

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 
 #include "graph/coo.hpp"
@@ -31,20 +32,35 @@ inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
 std::uint64_t fnv1a64(const void *data, std::size_t size,
                       std::uint64_t seed = kFnv1aBasis);
 
+/** A text edge list that does not parse, or whose body contradicts
+ *  its `# nodes N edges M` header. */
+class EdgeListError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
 /**
  * Parse a text edge list: one "src dst [weight]" triple per line,
  * whitespace separated; lines starting with '#' or '%' are comments.
  * Missing weights default to 1. This accepts the SNAP dataset format the
  * paper's inputs ship in.
  *
- * @throws std::runtime_error on malformed lines.
+ * The comment line `# nodes N edges M` is a header: the graph then has
+ * exactly N nodes (so trailing isolated vertices survive a round trip)
+ * and the body must hold exactly M edges with every endpoint below N.
+ * Without a header the node count is one past the largest endpoint.
+ *
+ * @throws EdgeListError on a malformed line, a second header, or a body
+ *         that contradicts the header.
  */
 CooEdges loadEdgeList(std::istream &in);
 
 /** Load a text edge list from @p path. @throws std::runtime_error. */
 CooEdges loadEdgeListFile(const std::filesystem::path &path);
 
-/** Write @p coo as a text edge list ("src dst weight" per line). */
+/** Write @p coo as a text edge list: the `# nodes N edges M` header,
+ *  then "src dst weight" per line. */
 void saveEdgeList(const CooEdges &coo, std::ostream &out);
 
 /** Write @p coo as a text edge list to @p path. */

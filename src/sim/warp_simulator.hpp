@@ -153,10 +153,10 @@ struct KernelStats
 class WarpSimulator
 {
   public:
-    explicit WarpSimulator(const GpuConfig &config = {})
-        : config_(config)
-    {
-    }
+    /** @throws std::invalid_argument when @p config has a zero
+     *  warpSize, numSms or memSegmentBytes (no warp could be formed,
+     *  assigned to an SM, or coalesced). */
+    explicit WarpSimulator(const GpuConfig &config = {});
 
     /** The configuration in use. */
     const GpuConfig &config() const { return config_; }
@@ -177,7 +177,7 @@ class WarpSimulator
 
         const unsigned warp_size = config_.warpSize;
         smCycles_.assign(config_.numSms, 0);
-        scratch_.lanes.resize(warp_size);
+        scratch_.resize(warp_size);
 
         std::uint64_t warp_index = 0;
         for (std::uint64_t base = 0; base < num_threads;
@@ -247,7 +247,7 @@ class WarpSimulator
                 Partial &part = partials[chunk];
                 part.smCycles.assign(config_.numSms, 0);
                 WarpScratch &ws = scratch[worker];
-                ws.lanes.resize(warp_size);
+                ws.resize(warp_size);
                 for (std::uint64_t w = warp_begin; w < warp_end; ++w) {
                     const std::uint64_t base =
                         w * static_cast<std::uint64_t>(warp_size);
@@ -293,8 +293,33 @@ class WarpSimulator
      *  the parallel overload). */
     struct WarpScratch
     {
+        /** Consecutive interleaved lanes whose step-j byte addresses
+         *  are base + j * step + k * bytes for the run's k-th lane and
+         *  whose edge counts never rise, so the lanes still active at
+         *  any step are a prefix touching a contiguous segment range
+         *  (see simulateWarp). */
+        struct LaneRun
+        {
+            std::uint64_t base;  ///< First lane's byte address, step 0.
+            std::uint64_t step;  ///< Bytes every lane advances a step.
+            std::uint32_t bytes; ///< Bytes between adjacent lanes.
+            unsigned first;      ///< First lane's index into counts.
+            unsigned end;        ///< One past the last lane still active.
+        };
+
         std::vector<ThreadWork> lanes;
+        std::vector<LaneRun> runs;
+        std::vector<std::uint32_t> counts; ///< Edge counts, run order.
         std::vector<std::uint64_t> segments;
+
+        void
+        resize(unsigned warp_size)
+        {
+            lanes.resize(warp_size);
+            runs.resize(warp_size);
+            counts.resize(warp_size);
+            segments.resize(warp_size);
+        }
     };
 
     /** Warps per parallel-simulation chunk (4096 threads at warp 32);
@@ -309,6 +334,8 @@ class WarpSimulator
                                WarpScratch &scratch) const;
 
     GpuConfig config_;
+    /** log2(memSegmentBytes) when it is a power of two, else -1. */
+    int segmentShift_ = -1;
     std::vector<std::uint64_t> smCycles_;
     WarpScratch scratch_;
 };

@@ -46,6 +46,52 @@ TEST(IoText, RoundTrip)
     EXPECT_EQ(original.edges(), loaded.edges());
 }
 
+TEST(IoText, RoundTripKeepsTrailingIsolatedVertices)
+{
+    // Nodes 5..9 have no edges; only the header can carry them.
+    CooEdges original(10);
+    original.add(0, 1, 3);
+    original.add(4, 2, 1);
+    std::stringstream buffer;
+    saveEdgeList(original, buffer);
+    EXPECT_EQ(buffer.str().rfind("# nodes 10 edges 2\n", 0), 0u);
+    CooEdges loaded = loadEdgeList(buffer);
+    EXPECT_EQ(loaded.numNodes(), 10u);
+    EXPECT_EQ(loaded.edges(), original.edges());
+    EXPECT_EQ(Csr::fromCoo(loaded), Csr::fromCoo(original));
+}
+
+TEST(IoText, HeaderlessListKeepsLargestEndpointRule)
+{
+    std::istringstream in("# Nodes: 10 Edges: 1\n0 3\n");
+    CooEdges coo = loadEdgeList(in);
+    EXPECT_EQ(coo.numNodes(), 4u);
+    EXPECT_EQ(coo.numEdges(), 1u);
+}
+
+TEST(IoText, HeaderContradictionsThrowTypedError)
+{
+    const char *bodies[] = {
+        "# nodes 3 edges 1\n0 3\n",                  // endpoint >= N
+        "# nodes 5 edges 2\n0 1\n",                  // too few edges
+        "# nodes 5 edges 1\n0 1\n1 2\n",            // too many edges
+        "# nodes 5 edges 1\n# nodes 5 edges 1\n0 1\n", // two headers
+        "# nodes 4294967296 edges 0\n",              // N beyond NodeId
+    };
+    for (const char *body : bodies) {
+        std::istringstream in(body);
+        EXPECT_THROW(loadEdgeList(in), EdgeListError) << body;
+    }
+}
+
+TEST(IoText, HeaderAnywhereAmongCommentsIsHonored)
+{
+    std::istringstream in("0 1\n# nodes 7 edges 2\n1 2 5\n");
+    CooEdges coo = loadEdgeList(in);
+    EXPECT_EQ(coo.numNodes(), 7u);
+    EXPECT_EQ(coo.numEdges(), 2u);
+}
+
 TEST(IoBinary, RoundTripExact)
 {
     Csr g = GraphBuilder().build(
