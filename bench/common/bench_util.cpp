@@ -1,11 +1,14 @@
 #include "bench_util.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -33,6 +36,53 @@ benchMaxThreads()
             return static_cast<unsigned>(threads);
     }
     return std::min(8u, par::defaultThreads());
+}
+
+namespace {
+
+/** A dependent chain of 64-bit multiply-adds: integer work with no
+ *  memory traffic that the optimizer cannot shorten. */
+std::uint64_t
+burn(std::uint64_t rounds, std::uint64_t x)
+{
+    for (std::uint64_t i = 0; i < rounds; ++i)
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x;
+}
+
+std::atomic<std::uint64_t> burnSink{0};
+
+/** Wall milliseconds for @p threads threads each burning @p rounds. */
+double
+timedBurn(unsigned threads, std::uint64_t rounds)
+{
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < threads; ++t)
+        workers.emplace_back(
+            [rounds, t] { burnSink += burn(rounds, t + 1); });
+    for (std::thread &worker : workers)
+        worker.join();
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+} // namespace
+
+double
+deliveredParallelism(unsigned threads)
+{
+    std::uint64_t rounds = 1 << 16;
+    while (timedBurn(1, rounds) < 20.0)
+        rounds *= 2;
+    double one = timedBurn(1, rounds);
+    double many = timedBurn(threads, rounds);
+    for (int trial = 1; trial < 3; ++trial) {
+        one = std::min(one, timedBurn(1, rounds));
+        many = std::min(many, timedBurn(threads, rounds));
+    }
+    return threads * one / many;
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> header)

@@ -24,6 +24,19 @@ double benchScale();
  *  $TIGR_BENCH_THREADS (default min(8, hardware concurrency)). */
 unsigned benchMaxThreads();
 
+/**
+ * Delivered parallelism: how many cores' worth of integer work
+ * @p threads concurrent threads actually get, which
+ * hardware_concurrency() cannot tell (a shared or throttled virtual
+ * machine may report 4 threads and run them at the speed of one). A
+ * serial integer burn is calibrated to take at least 20 ms; then
+ * @p threads threads each run the same burn at once. The result is
+ * threads x serial time / concurrent wall time, each the best of three
+ * trials: close to @p threads when every thread gets its own core,
+ * close to 1 when they all share one.
+ */
+double deliveredParallelism(unsigned threads);
+
 /** Aligned plain-text table printer used by every bench binary. */
 class TablePrinter
 {

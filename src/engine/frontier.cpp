@@ -53,7 +53,7 @@ Frontier::clear()
 std::span<const NodeId>
 Frontier::compacted(par::ThreadPool *pool)
 {
-    if (!listValid_) {
+    if (!listValid_ || (!sorted_ && compactsByScan(count_, n_))) {
         par::chunkedCompact(
             pool, n_,
             [this](std::uint64_t i) { return bits_[i] != 0; }, nodes_);

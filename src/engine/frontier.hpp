@@ -11,18 +11,21 @@
  *
  * compacted() produces the ascending node-id list a sparse iteration
  * launches from. When the activation list is valid (the common case —
- * every activation since the last clear went through activate()) it is
- * sorted in place; when it is not (an all-active reset, as CC starts
- * with), the list is rebuilt from the bitmap with the classic parallel
- * count-then-prefix-scan compaction (par::chunkedCompact, reusing the
- * scan in src/par), bit-identical at any thread count. Either way the
- * compacted order equals the ascending order a dense O(n) bitmap scan
- * would visit — which is what makes sparse and dense iterations launch
- * the *same* unit list and therefore compute identical values,
- * iteration counts, and main-launch counters (docs/frontier.md).
+ * every activation since the last clear went through activate()) and
+ * short next to n, it is sorted in place; when it is long enough that
+ * sorting costs more than a bitmap scan (compactsByScan), or invalid
+ * (an all-active reset, as CC starts with), the list is rebuilt from
+ * the bitmap with the classic parallel count-then-prefix-scan
+ * compaction (par::chunkedCompact, reusing the scan in src/par),
+ * bit-identical at any thread count. Either way the compacted order
+ * equals the ascending order a dense O(n) bitmap scan would visit —
+ * which is what makes sparse and dense iterations launch the *same*
+ * unit list and therefore compute identical values, iteration counts,
+ * and main-launch counters (docs/frontier.md).
  */
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -63,6 +66,16 @@ std::string_view frontierModeName(FrontierMode mode);
 
 /** Parse a display name back to a FrontierMode. */
 std::optional<FrontierMode> parseFrontierMode(std::string_view name);
+
+/** Does compacted() rebuild an unsorted activation list of @p count
+ *  nodes by scanning the @p n-entry bitmap instead of sorting it? A
+ *  sort costs about count * log2(count), a scan n; both produce the
+ *  same ascending list, so the rule decides cost only. */
+inline bool
+compactsByScan(std::uint64_t count, NodeId n)
+{
+    return count * std::bit_width(count) > n;
+}
 
 /**
  * The active-node set of one BSP iteration.

@@ -545,15 +545,19 @@ GraphEngine::pagerank(const PageRankOptions &pr_options)
         provider.forEachUnit(
             [&](const WorkUnit &unit) { units.push_back(unit); });
 
-        // Per-chunk add logs: push records every (target, share)
-        // contribution; pull accumulates each unit's sum locally in
-        // edge order and logs one addition into the unit's own slot.
-        // The serial chunk-order replay below then performs the exact
-        // same float additions in the exact same order as a sequential
-        // unit-order sweep — ranks are bit-identical at any thread
-        // count and on either topology.
-        std::vector<std::vector<std::pair<NodeId, Rank>>> chunk_adds(
-            par::chunkCount(units.size(), par::kDefaultGrain));
+        // Per-node terms, computed once per round with the per-edge
+        // float expressions: push scatters each node's damped share,
+        // pull gathers rank / outdegree (1.0 * x == x exactly). The
+        // additions into `next` then run serially in unit order — push
+        // edge by edge, pull one damped per-unit sum taken in edge
+        // order — the float operations of a sequential unit-order
+        // sweep, so ranks are bit-identical at any thread count and on
+        // either topology.
+        const Rank scale = pull ? 1.0 : pr_options.damping;
+        std::vector<Rank> per_node(n);
+        std::vector<Rank> unit_sums(pull ? units.size() : 0);
+        // Every round launches the same units: simulated once.
+        sim::KernelStats round_stats;
 
         for (unsigned iter = 0; iter < pr_options.iterations; ++iter) {
             if (options_.cancel &&
@@ -564,58 +568,54 @@ GraphEngine::pagerank(const PageRankOptions &pr_options)
                 break;
             }
             const sim::KernelStats trace_before = result.info.stats;
+            par::parallelFor(
+                pool_.get(), n, par::kDefaultGrain,
+                [&](std::uint64_t v, unsigned) {
+                    const EdgeIndex d =
+                        forward.degree(static_cast<NodeId>(v));
+                    per_node[v] = d == 0 ? 0.0
+                                         : scale * result.values[v] /
+                                               static_cast<Rank>(d);
+                });
             std::fill(next.begin(), next.end(), base);
-            par::forEachChunk(
-                pool_.get(), units.size(), par::kDefaultGrain,
-                [&](std::uint64_t chunk, std::uint64_t begin,
-                    std::uint64_t end, unsigned) {
-                    auto &adds = chunk_adds[chunk];
-                    adds.clear();
-                    for (std::uint64_t tid = begin; tid < end; ++tid) {
+            if (pull) {
+                par::parallelFor(
+                    pool_.get(), units.size(), par::kDefaultGrain,
+                    [&](std::uint64_t tid, unsigned) {
                         const WorkUnit &unit = units[tid];
-                        if (pull) {
-                            Rank sum = 0.0;
-                            for (std::uint32_t j = 0; j < unit.count;
-                                 ++j) {
-                                const EdgeIndex e = unit.start +
-                                    static_cast<EdgeIndex>(unit.stride) *
-                                        j;
-                                const NodeId u = provider.edgeTarget(e);
-                                sum += result.values[u] /
-                                       static_cast<Rank>(
-                                           forward.degree(u));
-                            }
-                            adds.emplace_back(unit.valueNode,
-                                              pr_options.damping * sum);
-                            continue;
-                        }
-                        const EdgeIndex d =
-                            forward.degree(unit.valueNode);
-                        const Rank share =
-                            d == 0 ? 0.0
-                                   : pr_options.damping *
-                                         result.values[unit.valueNode] /
-                                         static_cast<Rank>(d);
+                        Rank sum = 0.0;
                         for (std::uint32_t j = 0; j < unit.count; ++j) {
                             const EdgeIndex e = unit.start +
                                 static_cast<EdgeIndex>(unit.stride) * j;
-                            adds.emplace_back(provider.edgeTarget(e),
-                                              share);
+                            sum += per_node[provider.edgeTarget(e)];
                         }
+                        unit_sums[tid] = sum;
+                    });
+                for (std::uint64_t tid = 0; tid < units.size(); ++tid)
+                    next[units[tid].valueNode] +=
+                        pr_options.damping * unit_sums[tid];
+            } else {
+                for (const WorkUnit &unit : units) {
+                    const Rank share = per_node[unit.valueNode];
+                    for (std::uint32_t j = 0; j < unit.count; ++j) {
+                        const EdgeIndex e = unit.start +
+                            static_cast<EdgeIndex>(unit.stride) * j;
+                        next[provider.edgeTarget(e)] += share;
                     }
-                });
-            for (const auto &adds : chunk_adds)
-                for (const auto &[target, add] : adds)
-                    next[target] += add;
-            result.info.stats += sim_.launch(
-                units.size(),
-                [&](std::uint64_t tid) {
-                    sim::ThreadWork work =
-                        detail::describeUnit(units[tid], cost);
-                    work.scatterAccessesPerEdge = scatter;
-                    return work;
-                },
-                pool_.get());
+                }
+            }
+            if (iter == 0) {
+                round_stats = sim_.launch(
+                    units.size(),
+                    [&](std::uint64_t tid) {
+                        sim::ThreadWork work =
+                            detail::describeUnit(units[tid], cost);
+                        work.scatterAccessesPerEdge = scatter;
+                        return work;
+                    },
+                    pool_.get());
+            }
+            result.info.stats += round_stats;
             result.values.swap(next);
             ++result.info.iterations;
             if (options_.trace)

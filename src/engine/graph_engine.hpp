@@ -18,8 +18,9 @@
  * ArenaVirtualProvider (a maintained virtualizer) — so the dense and
  * arena topologies compute bit-identical values by construction: both
  * enumerate the same units in the same order (a family is a pure
- * function of (segment begin, degree, K, layout)), chunk them by
- * par::kDefaultGrain and merge per-chunk logs serially in chunk order.
+ * function of (segment begin, degree, K, layout)), and every merge —
+ * per-chunk improvement logs, PageRank's additions — runs serially in
+ * unit order.
  * Only arena slot numbers differ, which the warp simulator's
  * coalescing counters may observe but values, digests, iteration
  * counts and convergence never do.

@@ -344,6 +344,11 @@ runPush(const Provider &provider, sim::WarpSimulator &sim,
     par::PerWorker<detail::ChunkOverlay<Value>> overlays(pool);
     std::vector<std::vector<std::pair<NodeId, Value>>> chunk_updates;
 
+    // The launches one iteration charges. Without a worklist every
+    // iteration launches the same units over all n nodes, so they are
+    // simulated once and charged again each iteration (KernelStats
+    // sums, so the totals are unchanged).
+    sim::KernelStats launched;
     if (!use_worklist) {
         provider.forEachUnit([&](const WorkUnit &unit) {
             launch_units.push_back(unit);
@@ -450,34 +455,37 @@ runPush(const Provider &provider, sim::WarpSimulator &sim,
         // Charge the launch the semantic pass just executed. The
         // descriptor is pure (unit shape + cost model only), so the
         // simulation itself parallelizes over the same pool.
-        outcome.stats += sim.launch(
-            launch_units.size(),
-            [&](std::uint64_t tid) {
-                return detail::describeUnit(launch_units[tid], cost);
-            },
-            pool);
-
-        // A sparse iteration also paid a compaction pass over the
-        // frontier: charge it at the real frontier size.
-        if (use_worklist && sparse) {
-            outcome.stats += sim.launch(
-                active_nodes,
-                [](std::uint64_t) { return sim::frontierPassWork(); },
-                pool);
-        }
-
-        // Model auxiliary per-iteration kernels (Gunrock's filter).
-        for (std::uint32_t extra = 0;
-             extra < cost.extraKernelsPerIteration; ++extra) {
-            outcome.stats += sim.launch(
-                active_nodes,
-                [](std::uint64_t) {
-                    sim::ThreadWork work;
-                    work.instructions = 3;
-                    return work;
+        if (use_worklist || outcome.iterations == 1) {
+            launched = sim.launch(
+                launch_units.size(),
+                [&](std::uint64_t tid) {
+                    return detail::describeUnit(launch_units[tid], cost);
                 },
                 pool);
+
+            // A sparse iteration also paid a compaction pass over the
+            // frontier: charge it at the real frontier size.
+            if (use_worklist && sparse) {
+                launched += sim.launch(
+                    active_nodes,
+                    [](std::uint64_t) { return sim::frontierPassWork(); },
+                    pool);
+            }
+
+            // Model auxiliary per-iteration kernels (Gunrock's filter).
+            for (std::uint32_t extra = 0;
+                 extra < cost.extraKernelsPerIteration; ++extra) {
+                launched += sim.launch(
+                    active_nodes,
+                    [](std::uint64_t) {
+                        sim::ThreadWork work;
+                        work.instructions = 3;
+                        return work;
+                    },
+                    pool);
+            }
         }
+        outcome.stats += launched;
 
         if (options.trace)
             detail::traceIteration(options, outcome.iterations,
@@ -570,6 +578,9 @@ runPull(const Provider &provider, sim::WarpSimulator &sim,
             launch_units.push_back(unit);
         });
     }
+    // Unfiltered, every iteration gathers the same units: simulated
+    // once, charged every iteration (as in runPush).
+    sim::KernelStats launched;
 
     par::PerWorker<detail::ChunkOverlay<Value>> overlays(pool);
     std::vector<std::vector<std::pair<NodeId, Value>>> chunk_updates;
@@ -615,22 +626,32 @@ runPull(const Provider &provider, sim::WarpSimulator &sim,
                 for (std::uint64_t i = begin; i < end; ++i) {
                     const WorkUnit &unit = launch_units[i];
                     const NodeId target = unit.valueNode;
+                    // The target's value lives in a local for the whole
+                    // unit and reaches the overlay once, at its end. A
+                    // self loop reads the local under relaxation: it is
+                    // exactly what the overlay would hold by then.
+                    Value current = overlay.has(target)
+                                        ? overlay.value[target]
+                                        : frozen[target];
+                    bool improved = false;
                     for (std::uint32_t j = 0; j < unit.count; ++j) {
                         const EdgeIndex e = unit.start +
                             static_cast<EdgeIndex>(unit.stride) * j;
                         const NodeId src = provider.edgeTarget(e);
                         const Value source_value =
-                            relaxed && overlay.has(src)
-                                ? overlay.value[src]
-                                : frozen[src];
+                            !relaxed ? frozen[src]
+                            : src == target ? current
+                            : overlay.has(src) ? overlay.value[src]
+                                               : frozen[src];
                         const Value candidate = Semiring::extend(
                             source_value, provider.edgeWeight(e));
-                        const Value current =
-                            overlay.has(target) ? overlay.value[target]
-                                                : frozen[target];
-                        if (Semiring::better(candidate, current))
-                            overlay.set(target, candidate);
+                        if (Semiring::better(candidate, current)) {
+                            current = candidate;
+                            improved = true;
+                        }
                     }
+                    if (improved)
+                        overlay.set(target, current);
                 }
                 auto &updates = chunk_updates[chunk];
                 updates.clear();
@@ -655,21 +676,24 @@ runPull(const Provider &provider, sim::WarpSimulator &sim,
             }
         }
 
-        outcome.stats += sim.launch(
-            launch_units.size(),
-            [&](std::uint64_t tid) {
-                return detail::describeUnit(launch_units[tid], cost);
-            },
-            pool);
-
-        // The destination filter is itself a frontier pass: charge it
-        // at the real active-destination count.
-        if (filtered) {
-            outcome.stats += sim.launch(
-                active_dests,
-                [](std::uint64_t) { return sim::frontierPassWork(); },
+        if (filtered || outcome.iterations == 1) {
+            launched = sim.launch(
+                launch_units.size(),
+                [&](std::uint64_t tid) {
+                    return detail::describeUnit(launch_units[tid], cost);
+                },
                 pool);
+
+            // The destination filter is itself a frontier pass: charge
+            // it at the real active-destination count.
+            if (filtered) {
+                launched += sim.launch(
+                    active_dests,
+                    [](std::uint64_t) { return sim::frontierPassWork(); },
+                    pool);
+            }
         }
+        outcome.stats += launched;
 
         if (options.trace)
             detail::traceIteration(options, outcome.iterations,

@@ -7,6 +7,8 @@
  * and n = 1 graphs), and the cross-mode / pull-filter value identity
  * that makes the mode a pure performance knob.
  */
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -109,6 +111,53 @@ TEST(Frontier, AllActiveResetCompactsFromBitmap)
     serial.clear();
     EXPECT_TRUE(serial.empty());
     EXPECT_TRUE(serial.compacted(nullptr).empty());
+}
+
+TEST(Frontier, ScanOrSortCrossoverGivesSameAscendingList)
+{
+    // An unsorted activation list is sorted below the crossover and
+    // rebuilt from the bitmap above it; both must give the ascending
+    // active set, with or without a pool, and stay usable afterwards.
+    constexpr NodeId n = 40000; // ~10 compaction chunks
+    std::uint64_t crossover = 1;
+    while (!compactsByScan(crossover, n))
+        ++crossover;
+    ASSERT_FALSE(compactsByScan(crossover - 1, n));
+    ASSERT_LT(crossover, n / 4);
+
+    par::ThreadPool pool(4);
+    for (par::ThreadPool *p : {static_cast<par::ThreadPool *>(nullptr),
+                               &pool}) {
+        for (const std::uint64_t count : {crossover - 1, crossover}) {
+            SCOPED_TRACE("count " + std::to_string(count) +
+                         (p ? " pooled" : " serial"));
+            Frontier f;
+            f.reset(n, false);
+            std::vector<NodeId> expected;
+            // 7919 is coprime to n: distinct nodes, scrambled order.
+            for (std::uint64_t i = 0; i < count; ++i) {
+                const auto v = static_cast<NodeId>((i * 7919 + 13) % n);
+                EXPECT_TRUE(f.activate(v));
+                expected.push_back(v);
+            }
+            std::sort(expected.begin(), expected.end());
+            auto nodes = f.compacted(p);
+            EXPECT_EQ(std::vector<NodeId>(nodes.begin(), nodes.end()),
+                      expected);
+
+            // The rebuilt list is the activation list again: later
+            // activations and the touched-only clear still work.
+            if (f.activate(n - 1)) // the largest id: stays ascending
+                expected.push_back(n - 1);
+            nodes = f.compacted(p);
+            EXPECT_EQ(std::vector<NodeId>(nodes.begin(), nodes.end()),
+                      expected);
+            f.clear();
+            EXPECT_TRUE(f.empty());
+            EXPECT_FALSE(f.active(expected.front()));
+            EXPECT_TRUE(f.compacted(p).empty());
+        }
+    }
 }
 
 TEST(Frontier, ParseAndNameRoundTrip)
