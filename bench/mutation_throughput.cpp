@@ -3,18 +3,17 @@
  * Dynamic-graph maintenance benchmark: the mutation hot path, measured
  * and gated four ways (docs/dynamic.md).
  *
- *   1. Uniform regime — dense-addressed incremental repair
+ *   1. Uniform regime — incremental arena repair
  *      (IncrementalVirtualizer::applyDelta) versus a from-scratch
  *      VirtualGraph retransform after each batch, across K in
  *      {2, 8, 32} and both edge layouts. Gate: >= 5x at <= 1% of the
  *      edge set mutated per epoch.
  *   2. Suffix-dominated regime — every edit lands on low vertex ids
- *      (GeneratorSpec::hotSpan), so a dense-addressed repair must
- *      shift (nearly) the whole start suffix while the arena-addressed
- *      repair touches only the mutated families. Batches are <= 0.1%
- *      of the edge set. Gate: arena repair >= 20x the full rebuild;
- *      the old (dense) and new (arena) repair cost per batch is
- *      reported side by side.
+ *      (GeneratorSpec::hotSpan), the case where a dense-addressed
+ *      array would have to shift (nearly) the whole start suffix; the
+ *      arena repair touches only the mutated families. Batches are
+ *      <= 0.1% of the edge set. Gate: arena repair >= 20x the full
+ *      rebuild.
  *   3. O(touched) gate — the same explicit insert/delete batches (all
  *      ids < 64) applied to structurally identical graphs of size n
  *      and 4n must produce identical RepairStats counters: work
@@ -105,8 +104,8 @@ struct RowResult
 };
 
 /** Run @p rounds uniform mutation epochs at (K, layout), timing
- *  dense-addressed incremental repair against a full retransform of
- *  the same post-batch graph. */
+ *  incremental arena repair against a full retransform of the same
+ *  post-batch graph. */
 RowResult
 runUniformRow(const graph::Csr &start, NodeId k,
               transform::EdgeLayout layout, std::size_t rounds)
@@ -143,7 +142,7 @@ runUniformRow(const graph::Csr &start, NodeId k,
         const transform::VirtualGraph rebuilt(dense, k, layout);
         row.rebuildMs.push_back(msSince(rebuild_start));
 
-        if (rebuilt.virtualNodes().size() != virt.virtualNodes().size())
+        if (rebuilt.virtualNodes().size() != virt.numEntries())
             row.diverged = true;
         if (const std::optional<std::string> divergence =
                 dynamic::differentialCheck(dg, virt)) {
@@ -151,8 +150,12 @@ runUniformRow(const graph::Csr &start, NodeId k,
                       << *divergence << '\n';
             row.diverged = true;
         }
-        if (dg.shouldCompact())
+        if (dg.shouldCompact()) {
             dg.compact();
+            virt.rebase();
+        } else if (virt.shouldCompactEntries()) {
+            virt.rebase();
+        }
     }
     return row;
 }
@@ -161,7 +164,7 @@ bool
 uniformSection(const graph::Csr &start, std::size_t rounds)
 {
     const double required_speedup = 5.0;
-    std::cout << "[1] uniform regime: dense-addressed repair vs full "
+    std::cout << "[1] uniform regime: arena repair vs full "
                  "retransform (<= 1% edges/batch)\n\n";
     bench::TablePrinter table({"K", "layout", "mut/round", "repair ms",
                                "rebuild ms", "speedup", "verdict"});
@@ -217,7 +220,6 @@ uniformSection(const graph::Csr &start, std::size_t rounds)
 
 struct SuffixRow
 {
-    std::vector<double> denseMs;
     std::vector<double> arenaMs;
     std::vector<double> rebuildMs;
     bool diverged = false;
@@ -225,18 +227,14 @@ struct SuffixRow
 };
 
 /** Run @p rounds suffix-dominated epochs at (K, layout): every edit
- *  lands on vertex ids < hotSpan, the worst case for dense-addressed
- *  starts (whole-suffix shift) and the best case for arena addressing
- *  (only the touched families move). Dense and arena virtualizers
- *  consume the same deltas over the same graph. */
+ *  lands on vertex ids < hotSpan, so only the touched families move
+ *  while the untouched suffix keeps its arena slots. */
 SuffixRow
 runSuffixRow(const graph::Csr &start, NodeId k,
              transform::EdgeLayout layout, std::size_t rounds)
 {
     dynamic::DynamicGraph dg(start);
-    dynamic::IncrementalVirtualizer dense_virt(dg, k, layout);
-    dynamic::IncrementalVirtualizer arena_virt(
-        dg, k, layout, dynamic::StartAddressing::Arena);
+    dynamic::IncrementalVirtualizer arena_virt(dg, k, layout);
     SuffixRow row;
 
     // <= 0.1% of the edge set per epoch, all of it on the first 64
@@ -255,10 +253,6 @@ runSuffixRow(const graph::Csr &start, NodeId k,
         const dynamic::MutationBatch batch =
             dynamic::generateBatch(dg.toCsr(), spec);
         const dynamic::EpochDelta delta = dg.apply(batch);
-
-        const Clock::time_point dense_start = Clock::now();
-        dense_virt.applyDelta(delta);
-        row.denseMs.push_back(msSince(dense_start));
 
         const Clock::time_point arena_start = Clock::now();
         arena_virt.applyDelta(delta);
@@ -292,11 +286,10 @@ suffixSection(const graph::Csr &start, std::size_t rounds)
 {
     const double required_speedup = 20.0;
     std::cout << "[2] suffix-dominated regime: edits on vertex ids "
-                 "< 64 (<= 0.1% edges/batch); old (dense) vs new "
-                 "(arena) repair cost per batch\n\n";
-    bench::TablePrinter table({"K", "layout", "mut/round", "dense ms",
-                               "arena ms", "rebuild ms", "arena-vs-"
-                               "rebuild", "verdict"});
+                 "< 64 (<= 0.1% edges/batch)\n\n";
+    bench::TablePrinter table({"K", "layout", "mut/round", "arena ms",
+                               "rebuild ms", "arena-vs-rebuild",
+                               "verdict"});
     bool pass = true;
     for (const NodeId k : {NodeId{2}, NodeId{8}, NodeId{32}}) {
         for (const transform::EdgeLayout layout :
@@ -306,21 +299,17 @@ suffixSection(const graph::Csr &start, std::size_t rounds)
                 runSuffixRow(start, k, layout, rounds),
                 runSuffixRow(start, k, layout, rounds),
                 runSuffixRow(start, k, layout, rounds)};
-            double dense_ms = 0.0;
             double arena_ms = 0.0;
             double rebuild_ms = 0.0;
             bool diverged = false;
             for (std::size_t r = 0; r < rounds; ++r) {
-                double best_dense = trials[0].denseMs[r];
                 double best_arena = trials[0].arenaMs[r];
                 double best_rebuild = trials[0].rebuildMs[r];
                 for (const SuffixRow &t : trials) {
-                    best_dense = std::min(best_dense, t.denseMs[r]);
                     best_arena = std::min(best_arena, t.arenaMs[r]);
                     best_rebuild =
                         std::min(best_rebuild, t.rebuildMs[r]);
                 }
-                dense_ms += best_dense;
                 arena_ms += best_arena;
                 rebuild_ms += best_rebuild;
             }
@@ -334,8 +323,8 @@ suffixSection(const graph::Csr &start, std::size_t rounds)
             table.addRow(
                 {std::to_string(k), layoutName(layout),
                  std::to_string(trials[0].mutationsPerRound),
-                 bench::fmt(dense_ms), bench::fmt(arena_ms),
-                 bench::fmt(rebuild_ms), bench::fmt(speedup, 1),
+                 bench::fmt(arena_ms), bench::fmt(rebuild_ms),
+                 bench::fmt(speedup, 1),
                  diverged ? "DIVERGED" : (ok ? "pass" : "FAIL")});
         }
     }
@@ -380,8 +369,7 @@ runTouchedGate(const graph::Csr &g, NodeId k,
                transform::EdgeLayout layout)
 {
     dynamic::DynamicGraph dg(g);
-    dynamic::IncrementalVirtualizer virt(
-        dg, k, layout, dynamic::StartAddressing::Arena);
+    dynamic::IncrementalVirtualizer virt(dg, k, layout);
     std::vector<dynamic::RepairStats> stats;
 
     dynamic::MutationBatch inserts;
@@ -417,8 +405,7 @@ touchedSection()
     const graph::Csr big = touchedGateGraph(small_n * 4);
 
     bench::TablePrinter table({"K", "layout", "batch", "repaired",
-                               "resplit", "relocated", "shifted",
-                               "verdict"});
+                               "resplit", "relocated", "verdict"});
     bool pass = true;
     for (const NodeId k : {NodeId{2}, NodeId{8}, NodeId{32}}) {
         for (const transform::EdgeLayout layout :
@@ -433,20 +420,16 @@ touchedSection()
                  ++b) {
                 const dynamic::RepairStats &s = small_stats[b];
                 const dynamic::RepairStats &l = big_stats[b];
-                const bool equal =
+                const bool ok =
                     s.repairedVertices == l.repairedVertices &&
                     s.resplitFamilies == l.resplitFamilies &&
-                    s.relocatedFamilies == l.relocatedFamilies &&
-                    s.shiftedEntries == l.shiftedEntries;
-                // Arena addressing never shifts untouched entries.
-                const bool ok = equal && s.shiftedEntries == 0;
+                    s.relocatedFamilies == l.relocatedFamilies;
                 pass = pass && ok;
                 table.addRow({std::to_string(k), layoutName(layout),
                               b == 0 ? "insert" : "delete",
                               std::to_string(s.repairedVertices),
                               std::to_string(s.resplitFamilies),
                               std::to_string(s.relocatedFamilies),
-                              std::to_string(s.shiftedEntries),
                               ok ? "pass" : "FAIL"});
             }
         }
@@ -467,9 +450,8 @@ threadsSection(const graph::Csr &start, unsigned max_threads)
                  "at 1 vs " << max_threads << " threads\n\n";
 
     dynamic::DynamicGraph dg(start);
-    dynamic::IncrementalVirtualizer virt(
-        dg, 8, transform::EdgeLayout::Coalesced,
-        dynamic::StartAddressing::Arena);
+    dynamic::IncrementalVirtualizer virt(dg, 8,
+                                         transform::EdgeLayout::Coalesced);
     // A few suffix-dominated batches first, so the rebase sweeps a
     // mutated arena rather than the pristine build.
     dynamic::GeneratorSpec spec;
@@ -557,11 +539,9 @@ runPullRow(const graph::Csr &start, std::size_t rounds)
     const transform::EdgeLayout layout =
         transform::EdgeLayout::Coalesced;
     dynamic::DynamicGraph dg(start);
-    dynamic::IncrementalVirtualizer forward(
-        dg, k, layout, dynamic::StartAddressing::Arena);
-    dynamic::IncrementalVirtualizer reverse(
-        dg, k, layout, dynamic::StartAddressing::Arena, nullptr,
-        dynamic::GraphSide::In);
+    dynamic::IncrementalVirtualizer forward(dg, k, layout);
+    dynamic::IncrementalVirtualizer reverse(dg, k, layout, nullptr,
+                                            dynamic::GraphSide::In);
     PullRow row;
 
     const std::size_t budget = std::max<std::size_t>(

@@ -3,8 +3,7 @@
  * Work-unit provider over an arena-addressed virtual array: queries run
  * straight off a DynamicGraph's slack arenas and a maintained
  * IncrementalVirtualizer, with no dense toCsr() / toReversedCsr()
- * materialization on the mutate→query path (docs/dynamic.md, arena
- * addressing).
+ * materialization on the mutate→query path (docs/dynamic.md).
  *
  * Work-unit starts are arena slot indices; the push/pull drivers read
  * edges exclusively through edgeTarget()/edgeWeight(), which index the
@@ -17,7 +16,6 @@
  */
 #pragma once
 
-#include <cassert>
 #include <utility>
 
 #include "dynamic/dynamic_graph.hpp"
@@ -37,9 +35,8 @@ namespace tigr::engine {
  * from the virtualizer once, at construction.
  *
  * Both the graph and the virtualizer are kept by reference and must
- * outlive the provider; the virtualizer must have been built with
- * StartAddressing::Arena over that same graph and repaired through the
- * graph's current epoch.
+ * outlive the provider; the virtualizer must have been built over that
+ * same graph and repaired through the graph's current epoch.
  */
 class ArenaVirtualProvider
 {
@@ -58,8 +55,6 @@ class ArenaVirtualProvider
                                  ? Strategy::TigrVPlus
                                  : Strategy::TigrV))
     {
-        assert(virt.addressing() ==
-               dynamic::StartAddressing::Arena);
     }
 
     /** Neighbor stored in arena slot @p e: the destination (Out) or

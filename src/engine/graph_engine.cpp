@@ -267,7 +267,6 @@ GraphEngine::arenaContext(ContextKind kind)
     const dynamic::IncrementalVirtualizer *virt =
         pull ? reverseVirt_ : forwardVirt_;
     if (virt != nullptr && !options_.dynamicMapping &&
-        virt->addressing() == dynamic::StartAddressing::Arena &&
         virt->side() == ctx->side &&
         virt->degreeBound() == options_.degreeBound &&
         virt->layout() == layoutOf(options_.strategy)) {

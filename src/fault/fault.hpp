@@ -188,7 +188,10 @@ struct Context
     Context *previous = nullptr;
 };
 
-extern thread_local Context *tlsContext;
+// constinit: the pointer is constant-initialized, so other translation
+// units read it directly instead of through GCC's TLS init wrapper,
+// whose read UBSan reports as a null `Context *` load.
+extern constinit thread_local Context *tlsContext;
 
 } // namespace detail
 

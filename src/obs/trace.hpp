@@ -94,8 +94,10 @@ std::string_view eventKindName(EventKind kind);
  *                        slots
  *   MutationCompact arg: epoch, reclaimed slots, live edges
  *   MutationResplit arg: epoch, repaired vertices, resplit families,
- *                        shifted entries, entries after, reverse
- *                        repaired vertices, reverse resplit families
+ *                        shifted entries (always 0, kept for
+ *                        trace-format stability), entries after,
+ *                        reverse repaired vertices, reverse resplit
+ *                        families
  *   ArenaServe      label: direction
  *                   arg: arena epoch, maintained forward array,
  *                        maintained reverse array

@@ -120,12 +120,10 @@ GraphStore::mutate(std::string_view name,
         if (current.hasVirtual) {
             state->virtualizer.emplace(state->graph,
                                        current.virtualDegreeBound,
-                                       current.virtualLayout,
-                                       dynamic::StartAddressing::Arena);
+                                       current.virtualLayout);
             state->reverseVirtualizer.emplace(
                 state->graph, current.virtualDegreeBound,
-                current.virtualLayout, dynamic::StartAddressing::Arena,
-                nullptr, dynamic::GraphSide::In);
+                current.virtualLayout, nullptr, dynamic::GraphSide::In);
         }
         state->base = current.epoch;
         entry.dynamic = std::move(state);
@@ -221,7 +219,7 @@ GraphStore::materialized(const Entry &entry) const
     next->virtualDegreeBound = current.virtualDegreeBound;
     next->virtualLayout = current.virtualLayout;
     if (state.virtualizer)
-        next->virtualNodes = state.virtualizer->nodesCopy();
+        next->virtualNodes = state.virtualizer->canonicalNodes();
     next->source = current.source;
     next->epoch = state.base + state.graph.epoch();
     next->loadMs = elapsedMs(start);

@@ -765,7 +765,8 @@ QueryScheduler::applyMutation(const MutationSpec &spec,
                 resplit.arg[0] = applied.epoch;
                 resplit.arg[1] = applied.repair.repairedVertices;
                 resplit.arg[2] = applied.repair.resplitFamilies;
-                resplit.arg[3] = applied.repair.shiftedEntries;
+                // arg[3] (shifted entries) stays 0: kept for
+                // trace-format stability.
                 resplit.arg[4] = applied.repair.entriesAfter;
                 resplit.arg[5] =
                     applied.reverseRepair.repairedVertices;

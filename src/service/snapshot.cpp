@@ -312,6 +312,10 @@ struct MemCursor
         if (bytes > size - pos)
             fail(SnapshotErrorKind::Truncated,
                  "snapshot ends mid-payload (file truncated?)");
+        // An empty section's vector has no storage: memcpy from or to
+        // a null pointer is undefined even for zero bytes.
+        if (bytes == 0)
+            return;
         std::memcpy(dst, data + pos, bytes);
         pos += bytes;
     }

@@ -32,7 +32,6 @@ namespace {
 using dynamic::DynamicGraph;
 using dynamic::GraphSide;
 using dynamic::IncrementalVirtualizer;
-using dynamic::StartAddressing;
 
 constexpr NodeId kDegreeBound = 8;
 
@@ -53,9 +52,8 @@ struct Topology
 {
     explicit Topology(transform::EdgeLayout layout)
         : dg(weightedRmat()),
-          forward(dg, kDegreeBound, layout, StartAddressing::Arena),
-          reverse(dg, kDegreeBound, layout, StartAddressing::Arena,
-                  nullptr, GraphSide::In)
+          forward(dg, kDegreeBound, layout),
+          reverse(dg, kDegreeBound, layout, nullptr, GraphSide::In)
     {
         dynamic::GeneratorSpec spec;
         spec.inserts = 60;

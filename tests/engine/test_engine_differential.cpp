@@ -48,7 +48,6 @@ namespace {
 using dynamic::DynamicGraph;
 using dynamic::GraphSide;
 using dynamic::IncrementalVirtualizer;
-using dynamic::StartAddressing;
 
 constexpr NodeId kDegreeBound = 6;
 
@@ -193,17 +192,15 @@ struct Topologies
     Topologies()
         : dense(weightedRmat()), dg(dense),
           forward{IncrementalVirtualizer(dg, kDegreeBound,
+                                         transform::EdgeLayout::Consecutive),
+                  IncrementalVirtualizer(dg, kDegreeBound,
+                                         transform::EdgeLayout::Coalesced)},
+          reverse{IncrementalVirtualizer(dg, kDegreeBound,
                                          transform::EdgeLayout::Consecutive,
-                                         StartAddressing::Arena),
+                                         nullptr, GraphSide::In),
                   IncrementalVirtualizer(dg, kDegreeBound,
                                          transform::EdgeLayout::Coalesced,
-                                         StartAddressing::Arena)},
-          reverse{IncrementalVirtualizer(
-                      dg, kDegreeBound, transform::EdgeLayout::Consecutive,
-                      StartAddressing::Arena, nullptr, GraphSide::In),
-                  IncrementalVirtualizer(
-                      dg, kDegreeBound, transform::EdgeLayout::Coalesced,
-                      StartAddressing::Arena, nullptr, GraphSide::In)}
+                                         nullptr, GraphSide::In)}
     {
         dynamic::GeneratorSpec spec;
         spec.inserts = 50;
@@ -555,11 +552,9 @@ TEST(PullSelfLoopDifferential, MatchesRecordedRuns)
 {
     const graph::Csr dense = selfLoopGraph();
     DynamicGraph dg(dense);
-    IncrementalVirtualizer forward(dg, 3, transform::EdgeLayout::Coalesced,
-                                   StartAddressing::Arena);
+    IncrementalVirtualizer forward(dg, 3, transform::EdgeLayout::Coalesced);
     IncrementalVirtualizer reverse(dg, 3, transform::EdgeLayout::Coalesced,
-                                   StartAddressing::Arena, nullptr,
-                                   GraphSide::In);
+                                   nullptr, GraphSide::In);
     const dynamic::EpochDelta delta = dg.apply(kSelfLoopBatch);
     forward.applyDelta(delta);
     reverse.applyDelta(delta);
