@@ -115,8 +115,8 @@ class ArenaVirtualProvider
 
 /**
  * Weight-erasing adapter: same units and topology as the wrapped
- * provider, every edge weight 1. BFS over it equals BFS over the
- * unit-weight graph copy the dense engine builds, with no copy.
+ * provider, every edge weight 1. GraphEngine runs BFS through it under
+ * every strategy but TigrUdt, so BFS never copies the graph.
  */
 template <typename Provider>
 class UnitWeightProvider

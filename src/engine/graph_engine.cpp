@@ -27,15 +27,6 @@ elapsedMs(std::chrono::steady_clock::time_point start)
 }
 
 bool
-allUnitWeights(const graph::Csr &graph)
-{
-    for (Weight w : graph.weights())
-        if (w != 1)
-            return false;
-    return true;
-}
-
-bool
 isVirtualStrategy(Strategy strategy)
 {
     return strategy == Strategy::TigrV ||
@@ -52,14 +43,14 @@ layoutOf(Strategy strategy)
 
 } // namespace
 
-/** Per-analysis machinery. Dense: the (possibly transformed or
+/** Per-side machinery. Dense: the (possibly transformed or
  *  reversed) graph a schedule indexes plus the schedule itself, built
  *  lazily and cached. Arena: the side the units split and the
  *  maintained virtualizer serving it, if any. */
 struct GraphEngine::Context
 {
     /** Owned graph storage when the context cannot reference the
-     *  engine's input directly (unit-weight copy, reversed graph). */
+     *  engine's input directly (reversed, row-sorted, unit weights). */
     std::optional<graph::Csr> ownedGraph;
     /** UDT transformation output (TigrUdt strategy only). */
     std::optional<transform::PhysicalTransformResult> udt;
@@ -77,9 +68,6 @@ struct GraphEngine::Context
     /** Maintained virtualizer serving the side, or null to enumerate
      *  its families on the fly (arena engines). */
     const dynamic::IncrementalVirtualizer *virt = nullptr;
-    /** Read every edge weight as 1 (arena BFS; the dense engine
-     *  schedules over a unit-weight copy instead). */
-    bool unitWeights = false;
     /** Units of an all-active launch — the virtual-array size traces
      *  and footprints report; 0 under dynamic mapping, which stores
      *  no array. */
@@ -159,24 +147,28 @@ GraphEngine::context(ContextKind kind)
     auto ctx = std::make_unique<Context>();
     const graph::Csr &graph = *dense_;
 
-    // Pick the base graph for this analysis family.
+    // Pick the graph this context's schedule indexes.
     const graph::Csr *base = &graph;
     switch (kind) {
-      case ContextKind::WeightedZero:
-      case ContextKind::WeightedInf:
+      case ContextKind::Forward:
+      case ContextKind::UdtInf:
         break;
-      case ContextKind::UnitZero:
-      case ContextKind::PullReversedUnit:
-        if (!allUnitWeights(graph)) {
-            graph::CooEdges coo = graph.toCoo();
-            for (graph::Edge &e : coo.edges())
-                e.weight = 1;
-            ctx->ownedGraph = graph::Csr::fromCoo(coo);
-            base = &*ctx->ownedGraph;
-        }
+      case ContextKind::Reverse:
+        // Pull schedules over the reversed graph (PageRank reads the
+        // original outdegrees off the forward graph, Corollary 4).
+        ctx->ownedGraph = graph.reversed();
+        base = &*ctx->ownedGraph;
         break;
-      case ContextKind::PullReversed:
+      case ContextKind::UdtUnit: {
+        // Dumb edges must read 0 and the transform does not mark
+        // them, so the weights are erased before splitting.
+        graph::CooEdges coo = graph.toCoo();
+        for (graph::Edge &e : coo.edges())
+            e.weight = 1;
+        ctx->ownedGraph = graph::Csr::fromCoo(coo);
+        base = &*ctx->ownedGraph;
         break;
+      }
       case ContextKind::SortedRows: {
         // Row-sorted copy: each node's neighbor list ascending, for
         // two-pointer set intersections.
@@ -199,27 +191,18 @@ GraphEngine::context(ContextKind kind)
       }
     }
 
-    // Pull contexts schedule over the reversed graph (PageRank reads
-    // the original outdegrees off the forward graph, Corollary 4).
-    if (kind == ContextKind::PullReversed ||
-        kind == ContextKind::PullReversedUnit) {
-        ctx->ownedGraph = base->reversed();
-        base = &*ctx->ownedGraph;
-    }
-
     // Physically transform for TigrUdt (push contexts only; pull and
     // PR/BC refuse the strategy up front).
     ctx->scheduled = base;
     if (options_.strategy == Strategy::TigrUdt &&
-        kind != ContextKind::PullReversed &&
-        kind != ContextKind::PullReversedUnit &&
+        kind != ContextKind::Reverse &&
         kind != ContextKind::SortedRows) {
         transform::SplitOptions split;
         split.degreeBound =
             options_.udtBound != 0
                 ? options_.udtBound
                 : graph::chooseUdtK(base->maxOutDegree());
-        split.weightPolicy = kind == ContextKind::WeightedInf
+        split.weightPolicy = kind == ContextKind::UdtInf
                                  ? transform::DumbWeightPolicy::Infinity
                                  : transform::DumbWeightPolicy::Zero;
         split.pool = pool_.get();
@@ -259,11 +242,8 @@ GraphEngine::arenaContext(ContextKind kind)
     // Re-derived on every call: the arena and its virtualizers may
     // have moved on since an earlier analysis of this engine.
     auto ctx = std::make_unique<Context>();
-    const bool pull = kind == ContextKind::PullReversed ||
-                      kind == ContextKind::PullReversedUnit;
+    const bool pull = kind == ContextKind::Reverse;
     ctx->side = pull ? dynamic::GraphSide::In : dynamic::GraphSide::Out;
-    ctx->unitWeights = kind == ContextKind::UnitZero ||
-                       kind == ContextKind::PullReversedUnit;
     const dynamic::IncrementalVirtualizer *virt =
         pull ? reverseVirt_ : forwardVirt_;
     if (virt != nullptr && !options_.dynamicMapping &&
@@ -287,6 +267,36 @@ GraphEngine::arenaContext(ContextKind kind)
     std::unique_ptr<Context> &slot = contexts_[kind];
     slot = std::move(ctx);
     return *slot;
+}
+
+bool
+GraphEngine::usesForwardSchedule(Strategy strategy, Direction direction,
+                                 Algorithm algorithm)
+{
+    if (strategy == Strategy::TigrUdt)
+        return false;
+    if (algorithm == Algorithm::Bc)
+        return true; // Brandes walks forward edges in either direction
+    // CuSha's shard engine is inherently pull-based (Section 6.2 of the
+    // paper explains its PR advantage with exactly this); the other
+    // engines, like the paper's Tigr implementation, push.
+    if (algorithm == Algorithm::Pr && strategy == Strategy::Cusha)
+        return false;
+    return direction == Direction::Push;
+}
+
+GraphEngine::ContextKind
+GraphEngine::contextFor(Algorithm algorithm) const
+{
+    // The UDT transform bakes BFS's and SSWP's weights into its graph.
+    if (options_.strategy == Strategy::TigrUdt)
+        return algorithm == Algorithm::Bfs    ? ContextKind::UdtUnit
+               : algorithm == Algorithm::Sswp ? ContextKind::UdtInf
+                                              : ContextKind::Forward;
+    return usesForwardSchedule(options_.strategy, options_.direction,
+                               algorithm)
+               ? ContextKind::Forward
+               : ContextKind::Reverse;
 }
 
 bool
@@ -384,13 +394,12 @@ PushOutcome<Semiring>
 GraphEngine::runSemiring(
     const Context &ctx,
     std::span<const std::pair<NodeId, typename Semiring::Value>> seeds,
-    bool all_active)
+    bool all_active, bool unit_weights)
 {
     const bool pull = options_.direction == Direction::Pull;
     // The pull destination filter walks forward out-neighbors of a
     // changed node: the forward topology has them for every pull
-    // context (the unit-weight copy only rewrites weights, and pull
-    // refuses UDT up front).
+    // context (pull refuses UDT up front).
     return withProvider(ctx, [&](const auto &provider,
                                  const auto &forward) {
         auto run = [&](const auto &units) {
@@ -399,7 +408,7 @@ GraphEngine::runSemiring(
                         : runPush<Semiring>(units, sim_, pushOptions(),
                                             seeds, all_active);
         };
-        if (ctx.unitWeights)
+        if (unit_weights)
             return run(UnitWeightProvider(provider));
         return run(provider);
     });
@@ -408,14 +417,19 @@ GraphEngine::runSemiring(
 template <typename Semiring, typename Result>
 Result
 GraphEngine::runValues(
-    Algorithm algorithm, ContextKind kind,
+    Algorithm algorithm,
     std::span<const std::pair<NodeId, typename Semiring::Value>> seeds,
     bool all_active)
 {
     const auto host_start = std::chrono::steady_clock::now();
+    const ContextKind kind = contextFor(algorithm);
     Context &ctx = context(kind);
     traceRunBegin(algorithm, ctx);
-    auto outcome = runSemiring<Semiring>(ctx, seeds, all_active);
+    // BFS is SSSP over unit weights (UDT's own copy already has them).
+    const bool unit_weights =
+        algorithm == Algorithm::Bfs && kind != ContextKind::UdtUnit;
+    auto outcome =
+        runSemiring<Semiring>(ctx, seeds, all_active, unit_weights);
 
     Result result;
     outcome.values.resize(numNodes()); // drop split-node slots
@@ -460,10 +474,7 @@ GraphEngine::sssp(NodeId source)
 {
     const std::pair<NodeId, Dist> seeds[] = {{source, 0}};
     return runValues<algorithms::SsspSemiring, DistancesResult>(
-        Algorithm::Sssp,
-        options_.direction == Direction::Pull ? ContextKind::PullReversed
-                                              : ContextKind::WeightedZero,
-        seeds, false);
+        Algorithm::Sssp, seeds, false);
 }
 
 DistancesResult
@@ -471,11 +482,7 @@ GraphEngine::bfs(NodeId source)
 {
     const std::pair<NodeId, Dist> seeds[] = {{source, 0}};
     return runValues<algorithms::SsspSemiring, DistancesResult>(
-        Algorithm::Bfs,
-        options_.direction == Direction::Pull
-            ? ContextKind::PullReversedUnit
-            : ContextKind::UnitZero,
-        seeds, false);
+        Algorithm::Bfs, seeds, false);
 }
 
 WidthsResult
@@ -483,10 +490,7 @@ GraphEngine::sswp(NodeId source)
 {
     const std::pair<NodeId, Weight> seeds[] = {{source, kInfWeight}};
     return runValues<algorithms::SswpSemiring, WidthsResult>(
-        Algorithm::Sswp,
-        options_.direction == Direction::Pull ? ContextKind::PullReversed
-                                              : ContextKind::WeightedInf,
-        seeds, false);
+        Algorithm::Sswp, seeds, false);
 }
 
 LabelsResult
@@ -497,10 +501,7 @@ GraphEngine::cc()
     for (NodeId v = 0; v < numNodes(); ++v)
         seeds.emplace_back(v, v);
     return runValues<algorithms::CcSemiring, LabelsResult>(
-        Algorithm::Cc,
-        options_.direction == Direction::Pull ? ContextKind::PullReversed
-                                              : ContextKind::WeightedZero,
-        seeds, true);
+        Algorithm::Cc, seeds, true);
 }
 
 RanksResult
@@ -511,15 +512,11 @@ GraphEngine::pagerank(const PageRankOptions &pr_options)
             "tigr: PageRank is unsupported under the physical UDT "
             "strategy (it changes outdegrees; see Corollary 4)");
     }
-    // CuSha's shard engine is inherently pull-based (Section 6.2 of
-    // the paper explains its PR advantage with exactly this); the
-    // other engines, like the paper's Tigr implementation, push.
-    const bool pull = pr_options.pull ||
-                      options_.strategy == Strategy::Cusha ||
-                      options_.direction == Direction::Pull;
+    const ContextKind kind = pr_options.pull ? ContextKind::Reverse
+                                             : contextFor(Algorithm::Pr);
+    const bool pull = kind == ContextKind::Reverse;
     const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(pull ? ContextKind::PullReversed
-                                : ContextKind::WeightedZero);
+    Context &ctx = context(kind);
     const NodeId n = numNodes();
 
     RanksResult result;
@@ -648,7 +645,7 @@ GraphEngine::bc(std::span<const NodeId> sources)
             "tigr: BC is unsupported under the physical UDT strategy "
             "(hop-count Brandes does not survive node splitting)");
     }
-    Context &ctx = context(ContextKind::WeightedZero);
+    Context &ctx = context(contextFor(Algorithm::Bc));
     const NodeId n = numNodes();
     const CostModel cost = costModelFor(options_.strategy);
     traceRunBegin(Algorithm::Bc, ctx);
@@ -851,10 +848,7 @@ GraphEngine::triangles()
 std::size_t
 GraphEngine::footprintBytes(Algorithm algorithm)
 {
-    return footprint(context(algorithm == Algorithm::Pr
-                                 ? ContextKind::PullReversed
-                                 : ContextKind::WeightedZero),
-                     algorithm);
+    return footprint(context(contextFor(algorithm)), algorithm);
 }
 
 } // namespace tigr::engine

@@ -5,10 +5,10 @@
  * Construct one over a CSR graph with an EngineOptions (which picks the
  * scheduling strategy — baseline, Tigr physical/virtual, or one of the
  * modeled competing frameworks) and call the analysis you need. The
- * engine lazily builds and caches whatever the strategy requires (UDT
- * transformed graphs per weight policy, virtual node arrays, reversed
- * graphs for pull) and reports per-run simulator counters alongside the
- * results.
+ * engine lazily builds and caches at most one schedule per graph side
+ * (forward for push, reverse for pull; TigrUdt adds transformed graphs
+ * for BFS and SSWP) and reports per-run simulator counters alongside
+ * the results.
  *
  * The same engine also runs straight off a mutated DynamicGraph: push
  * over the forward slack arena, pull over the mirrored reverse arena,
@@ -232,6 +232,11 @@ class GraphEngine
     /** The options the engine was built with. */
     const EngineOptions &options() const { return options_; }
 
+    /** True when an algorithm under a strategy and direction runs on
+     *  the input graph's forward schedule, the only one a
+     *  SharedSchedule can serve (PageRankOptions::pull aside). */
+    static bool usesForwardSchedule(Strategy, Direction, Algorithm);
+
     /** Host threads the engine actually runs with (after resolving
      *  EngineOptions::threads through TIGR_THREADS / hardware). */
     unsigned hostThreads() const
@@ -297,25 +302,25 @@ class GraphEngine
   private:
     struct Context;
 
-    /** Which schedule context an analysis needs. On an arena engine a
-     *  context is one arena side: the Weighted/Unit kinds enumerate
-     *  the forward arena, the Pull kinds the reverse one. */
+    /** The graph a schedule context indexes: outside TigrUdt, at most
+     *  one per side (push analyses share Forward, pull ones Reverse).
+     *  On an arena engine a context is one arena side. */
     enum class ContextKind
     {
-        WeightedZero,     ///< Graph weights, zero dumb weights
-                          ///< (SSSP, CC, BC, push PR).
-        UnitZero,         ///< Unit weights, zero dumb weights (BFS).
-        WeightedInf,      ///< Graph weights, infinite dumb weights
-                          ///< (SSWP).
-        PullReversed,     ///< Reversed graph (pull analyses, pull PR).
-        PullReversedUnit, ///< Reversed unit-weight graph (pull BFS).
-        SortedRows,       ///< Row-sorted copy (triangle counting).
+        Forward,    ///< The input graph; under TigrUdt its
+                    ///< zero-dumb-weight transform (SSSP, CC).
+        Reverse,    ///< Reversed graph (pull analyses, pull PR).
+        SortedRows, ///< Row-sorted copy (triangle counting).
+        UdtUnit,    ///< TigrUdt BFS: transform of a unit-weight copy.
+        UdtInf,     ///< TigrUdt SSWP: infinite dumb weights.
     };
 
     /** The context of @p kind: cached on a dense engine, re-derived
      *  from the live arena on every call of an arena engine. */
     Context &context(ContextKind kind);
     Context &arenaContext(ContextKind kind);
+    /** The context @p algorithm runs over (PageRankOptions::pull aside). */
+    ContextKind contextFor(Algorithm algorithm) const;
     PushOptions pushOptions() const;
     NodeId numNodes() const;
 
@@ -336,12 +341,12 @@ class GraphEngine
     runSemiring(const Context &ctx,
                 std::span<const std::pair<
                     NodeId, typename Semiring::Value>> seeds,
-                bool all_active);
+                bool all_active, bool unit_weights);
 
     /** One worklist analysis end to end: context, trace, semiring run
      *  and the outcome's RunInfo. */
     template <typename Semiring, typename Result>
-    Result runValues(Algorithm algorithm, ContextKind kind,
+    Result runValues(Algorithm algorithm,
                      std::span<const std::pair<
                          NodeId, typename Semiring::Value>> seeds,
                      bool all_active);

@@ -33,15 +33,6 @@ recordRun(QueryResult &result, const Result &run)
     result.values = run.values.size();
 }
 
-/** True when a cached forward schedule can ever apply to this spec:
- *  TigrUdt engines schedule over the physically transformed graph, so
- *  a schedule over the original could never be reused. */
-bool
-cacheable(const QuerySpec &spec)
-{
-    return spec.strategy != engine::Strategy::TigrUdt;
-}
-
 /** True for the strategies with a zero-memory dynamic-mapping
  *  fallback (Section 4.1's second design). */
 bool
@@ -439,8 +430,8 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
         }
     }
 
-    // Phase 2 — serial transform warm-up, in batch order: the first
-    // query of each (graph, strategy, K, warp) key is the miss that
+    // Phase 2 — serial forward-schedule warm-up, in batch order: the
+    // first query of each (graph, strategy, K, warp) key is the miss that
     // builds, every later one is a hit. Worker interleaving can no
     // longer influence hit attribution or who pays the build. Warm-up
     // failures never fail a query: they push it down the degradation
@@ -505,9 +496,11 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
         build_pool = std::make_unique<par::ThreadPool>(
             options_.buildThreads);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!admitted[i] || arena_served[i] || !cacheable(batch[i]))
-            continue;
         const QuerySpec &spec = batch[i];
+        if (!admitted[i] || arena_served[i] ||
+            !engine::GraphEngine::usesForwardSchedule(
+                spec.strategy, spec.direction, spec.algorithm))
+            continue;
         const StoredGraph &entry = store_.at(spec.graph);
         const TransformKey key{spec.graph, &entry.graph, spec.strategy,
                                spec.degreeBound, spec.mwVirtualWarp,

@@ -15,9 +15,9 @@
  *     scheduler workers add concurrency *across* queries, never inside
  *     one.
  *  2. Transform warm-up is serial and in batch order: each admitted
- *     query's schedule is built (or found) in the cache before any
- *     worker starts, so which query is the miss and which are hits is
- *     a function of the batch alone, not of worker interleaving.
+ *     query's forward schedule is built (or found) in the cache before
+ *     any worker starts, so which query is the miss and which are hits
+ *     is a function of the batch alone, not of worker interleaving.
  *  3. Deterministic deadlines are expressed in *simulated* time
  *     (QuerySpec::deadlineSimMs): the engine's cancel hook compares
  *     the simulated cycle counter — thread-count-invariant — so a
@@ -202,8 +202,9 @@ struct QueryResult
     std::uint64_t digest = 0;
     /** Number of result values behind the digest. */
     std::size_t values = 0;
-    /** True when the query's transform came out of the TransformCache
-     *  (deterministic: decided by the serial warm-up phase). */
+    /** True when the query's forward schedule came out of the
+     *  TransformCache (decided by the serial warm-up; pull, CuSha-PR,
+     *  TigrUdt and arena-served queries never look it up). */
     bool cacheHit = false;
     /** True when the query was served straight off the live arena
      *  (graph mutated, dense copy stale) — no dense materialization
@@ -330,9 +331,9 @@ class QueryScheduler
 
     /** Execute one admitted query (on a 1-thread engine) with the
      *  retry loop. @p scope_key keys the fault scope; @p shared is the
-     *  warm-up's schedule (null = degraded, uncacheable, or
-     *  arena-served). @p arena_served routes the query off the live
-     *  arena instead of the dense StoredGraph. */
+     *  warm-up's schedule (null = degraded, not on the forward
+     *  schedule, or arena-served). @p arena_served routes the query
+     *  off the live arena instead of the dense StoredGraph. */
     void execute(const QuerySpec &spec, QueryResult &result,
                  std::shared_ptr<const engine::SharedSchedule> shared,
                  std::uint64_t scope_key, bool arena_served) const;

@@ -17,6 +17,15 @@
  * arena after a batch that inserts more — against values, iteration
  * counts and KernelStats recorded from the gather that re-read the
  * target's overlay slot on every edge.
+ *
+ * BfsUnitWeightDifferential keeps the unit-weight graph copy the dense
+ * engine used to schedule BFS over as the reference: an engine over a
+ * toCoo/fromCoo copy with every weight 1 must report exactly what BFS
+ * on the weighted graph reports — hop counts, iterations, every
+ * KernelStats field, the footprint and the formatted trace — for all
+ * seven strategies, push and pull, stored and dynamic mapping, at 1
+ * and 3 threads, on a graph with self loops, duplicate edges and zero
+ * weights.
  */
 #include <algorithm>
 #include <array>
@@ -598,6 +607,142 @@ TEST(PullSelfLoopDifferential, MatchesRecordedRuns)
         }
     }
 }
+
+// ------------------------------------------ BFS over unit weights
+
+/** An RMAT graph kept as generated (duplicate edges included) plus a
+ *  self loop on every 13th node, a duplicate of every 31st edge and
+ *  weights 0..5, so weight erasure must turn zeros into ones. */
+graph::Csr
+duplicatesGraph()
+{
+    const graph::CooEdges rmat = graph::rmat(
+        {.nodes = 400, .edges = 4000, .seed = 611});
+    graph::CooEdges coo(rmat.numNodes());
+    std::uint64_t i = 0;
+    for (const graph::Edge &e : rmat.edges()) {
+        const Weight w = static_cast<Weight>((i * 2654435761u >> 9) % 6);
+        coo.add(e.src, e.dst, w);
+        if (i % 31 == 0)
+            coo.add(e.src, e.dst, w + 2);
+        ++i;
+    }
+    for (NodeId v = 0; v < rmat.numNodes(); v += 13)
+        coo.add(v, v, v % 3);
+    return graph::Csr::fromCoo(coo);
+}
+
+/** The copy BFS used to run over: same rows, every weight 1. */
+graph::Csr
+unitWeightCopy(const graph::Csr &g)
+{
+    graph::CooEdges coo = g.toCoo();
+    for (graph::Edge &e : coo.edges())
+        e.weight = 1;
+    return graph::Csr::fromCoo(coo);
+}
+
+/** What a BFS run reports, trace included. */
+struct BfsRun
+{
+    DistancesResult result;
+    std::size_t footprint = 0;
+    std::string trace;
+};
+
+BfsRun
+runBfs(const graph::Csr &g, EngineOptions options, NodeId source)
+{
+    obs::TraceSink sink;
+    options.trace = &sink;
+    GraphEngine engine(g, options);
+    BfsRun run{engine.bfs(source), 0, {}};
+    run.footprint = engine.footprintBytes(Algorithm::Bfs);
+    run.trace = obs::formatTrace(sink);
+    return run;
+}
+
+constexpr Strategy kAllStrategies[] = {
+    Strategy::Baseline,    Strategy::TigrUdt, Strategy::TigrV,
+    Strategy::TigrVPlus,   Strategy::MaximumWarp, Strategy::Cusha,
+    Strategy::Gunrock,
+};
+
+class BfsUnitWeightDifferential
+    : public ::testing::TestWithParam<Strategy>
+{
+};
+
+TEST_P(BfsUnitWeightDifferential, MatchesUnitWeightCopy)
+{
+    const Strategy strategy = GetParam();
+    const graph::Csr weighted = duplicatesGraph();
+    const graph::Csr unit = unitWeightCopy(weighted);
+    // The input really carries what the copy erased.
+    ASSERT_NE(weighted.weights(), unit.weights());
+    ASSERT_NE(std::find(weighted.weights().begin(),
+                        weighted.weights().end(), Weight{0}),
+              weighted.weights().end());
+    // ... and the erasure is observable: weighted distances differ.
+    EngineOptions serial;
+    serial.threads = 1;
+    EXPECT_NE(GraphEngine(weighted, serial).sssp(0).values,
+              GraphEngine(unit, serial).sssp(0).values);
+
+    for (const Direction direction : {Direction::Push, Direction::Pull}) {
+        if (direction == Direction::Pull && strategy == Strategy::TigrUdt)
+            continue;
+        for (const bool dynamic : {false, true}) {
+            if (dynamic && !isVirtual(strategy))
+                continue;
+            for (const unsigned threads : {1u, 3u}) {
+                for (const NodeId source : {NodeId{0}, NodeId{57}}) {
+                    SCOPED_TRACE(
+                        std::string(direction == Direction::Pull
+                                        ? "pull"
+                                        : "push") +
+                        (dynamic ? " dynamic" : " stored") +
+                        " threads " + std::to_string(threads) +
+                        " source " + std::to_string(source));
+                    EngineOptions options;
+                    options.strategy = strategy;
+                    options.direction = direction;
+                    options.dynamicMapping = dynamic;
+                    options.degreeBound = kDegreeBound;
+                    options.threads = threads;
+                    const BfsRun got = runBfs(weighted, options, source);
+                    const BfsRun want = runBfs(unit, options, source);
+                    EXPECT_EQ(got.result.values, want.result.values);
+                    EXPECT_EQ(got.result.info.iterations,
+                              want.result.info.iterations);
+                    EXPECT_EQ(got.result.info.converged,
+                              want.result.info.converged);
+                    EXPECT_EQ(got.result.info.peakFrontier,
+                              want.result.info.peakFrontier);
+                    EXPECT_EQ(got.result.info.sparseIterations,
+                              want.result.info.sparseIterations);
+                    EXPECT_EQ(got.result.info.transformCached,
+                              want.result.info.transformCached);
+                    EXPECT_EQ(statsFields(got.result.info.stats),
+                              statsFields(want.result.info.stats));
+                    EXPECT_EQ(got.footprint, want.footprint);
+                    EXPECT_EQ(got.trace, want.trace);
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, BfsUnitWeightDifferential,
+    ::testing::ValuesIn(kAllStrategies),
+    [](const ::testing::TestParamInfo<Strategy> &info) {
+        std::string name(strategyName(info.param));
+        for (char &c : name)
+            if (c == '-' || c == '+')
+                c = c == '+' ? 'P' : '_';
+        return name;
+    });
 
 } // namespace
 } // namespace tigr::engine

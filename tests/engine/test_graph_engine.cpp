@@ -185,12 +185,17 @@ TEST(GraphEngine, TransformCachedPerContextNotPerEngine)
 {
     graph::Csr g = weightedGraph(49);
     GraphEngine engine(g, optionsFor(Strategy::TigrVPlus));
-    auto sssp = engine.sssp(0);   // builds WeightedZero
-    auto bfs = engine.bfs(0);     // builds UnitZero — a fresh context
-    auto again = engine.bfs(1);   // reuses UnitZero
+    // One context per graph side: BFS reads the weighted forward
+    // schedule through unit weights, SSWP shares it too, and only the
+    // first run of each side builds.
+    auto sssp = engine.sssp(0);                     // builds Forward
+    auto pull = engine.pagerank({.pull = true});    // builds Reverse
+    auto bfs = engine.bfs(0);                       // reuses Forward
+    auto sswp = engine.sswp(0);                     // reuses Forward
     EXPECT_FALSE(sssp.info.transformCached);
-    EXPECT_FALSE(bfs.info.transformCached);
-    EXPECT_TRUE(again.info.transformCached);
+    EXPECT_FALSE(pull.info.transformCached);
+    EXPECT_TRUE(bfs.info.transformCached);
+    EXPECT_TRUE(sswp.info.transformCached);
 }
 
 TEST(GraphEngine, HostTimeReported)

@@ -5,8 +5,10 @@
  * deadlines) must produce bit-identical results at 1, 2, and 8
  * workers, with at least one deterministic deadline-exceeded outcome
  * and at least one transform-cache hit. Plus the admission-rejection
- * taxonomy.
+ * taxonomy, and which queries look the cache up: a warm BFS runs on
+ * the cached weighted schedule, a pull-only batch never touches it.
  */
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "fault/fault.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/graph_store.hpp"
@@ -456,6 +459,100 @@ TEST(QuerySchedulerObservability, EngineReuseKeepsSecondRunInfoClean)
     EXPECT_TRUE(pair[1].cacheHit);
     EXPECT_TRUE(pair[1].info.transformCached);
     EXPECT_EQ(pair[0].digest, pair[1].digest);
+}
+
+TEST(QuerySchedulerCache, WarmWeightedBfsRunsOnTheCachedSchedule)
+{
+    // BFS reads the weighted forward schedule through unit weights, so
+    // a warm BFS query both hits the cache and runs on what it hit —
+    // no engine-local unit-weight copy with its own schedule.
+    TransformCache cache(std::size_t{64} << 20);
+    SchedulerOptions options;
+    options.workers = 2;
+    QueryScheduler scheduler(sharedStore(), cache, options);
+
+    QuerySpec sssp;
+    sssp.graph = "star"; // weights 1..11: BFS must erase them
+    sssp.algorithm = engine::Algorithm::Sssp;
+    sssp.strategy = engine::Strategy::TigrVPlus;
+    sssp.degreeBound = 8;
+    QuerySpec bfs = sssp;
+    bfs.algorithm = engine::Algorithm::Bfs;
+
+    const auto warm = scheduler.runBatch(std::vector<QuerySpec>{sssp});
+    const auto run = scheduler.runBatch(std::vector<QuerySpec>{bfs});
+    ASSERT_EQ(warm.size(), 1u);
+    ASSERT_EQ(run.size(), 1u);
+    ASSERT_EQ(run[0].outcome, QueryOutcome::Completed) << run[0].message;
+    EXPECT_FALSE(warm[0].cacheHit);
+    EXPECT_TRUE(run[0].cacheHit);
+    EXPECT_TRUE(run[0].info.transformCached);
+    EXPECT_EQ(cache.stats().entries, 1u);
+
+    // Same hop counts as a fresh engine over the stored graph.
+    engine::EngineOptions direct;
+    direct.strategy = bfs.strategy;
+    direct.degreeBound = bfs.degreeBound;
+    direct.threads = 1;
+    engine::GraphEngine engine(sharedStore().at("star").graph, direct);
+    const auto expected = engine.bfs(bfs.source);
+    EXPECT_EQ(run[0].digest,
+              graph::fnv1a64(expected.values.data(),
+                             expected.values.size() * sizeof(Dist)));
+    EXPECT_EQ(run[0].info.stats.cycles, expected.info.stats.cycles);
+}
+
+TEST(QuerySchedulerCache, PullOnlyBatchMakesNoCacheLookup)
+{
+    // Pull analyses and CuSha's PageRank never run on a forward
+    // schedule: warm-up must neither look one up nor build one.
+    obs::MetricsRegistry registry;
+    TransformCache cache(std::size_t{64} << 20);
+    SchedulerOptions options;
+    options.workers = 2;
+    options.metrics = &registry;
+    options.trace = true;
+    QueryScheduler scheduler(sharedStore(), cache, options);
+
+    std::vector<QuerySpec> batch;
+    for (engine::Algorithm algorithm :
+         {engine::Algorithm::Bfs, engine::Algorithm::Sssp,
+          engine::Algorithm::Sswp, engine::Algorithm::Cc,
+          engine::Algorithm::Pr}) {
+        QuerySpec spec;
+        spec.graph = "rmat";
+        spec.algorithm = algorithm;
+        spec.strategy = engine::Strategy::TigrVPlus;
+        spec.direction = engine::Direction::Pull;
+        spec.degreeBound = 8;
+        spec.prIterations = 5;
+        batch.push_back(spec);
+    }
+    QuerySpec cusha_pr;
+    cusha_pr.graph = "star";
+    cusha_pr.algorithm = engine::Algorithm::Pr;
+    cusha_pr.strategy = engine::Strategy::Cusha;
+    cusha_pr.prIterations = 5;
+    batch.push_back(cusha_pr);
+
+    for (int round = 0; round < 2; ++round) {
+        const auto results = scheduler.runBatch(batch);
+        ASSERT_EQ(results.size(), batch.size());
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            SCOPED_TRACE("round " + std::to_string(round) + " query " +
+                         std::to_string(i));
+            EXPECT_EQ(results[i].outcome, QueryOutcome::Completed)
+                << results[i].message;
+            EXPECT_FALSE(results[i].cacheHit);
+            EXPECT_FALSE(results[i].degraded);
+            for (const obs::TraceEvent &event :
+                 results[i].trace.events())
+                EXPECT_NE(event.kind, obs::EventKind::CacheLookup);
+        }
+    }
+    EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(registry.counter("scheduler.cache.hits").value(), 0u);
+    EXPECT_EQ(registry.counter("scheduler.cache.misses").value(), 0u);
 }
 
 } // namespace
