@@ -85,9 +85,15 @@ IncrementalVirtualizer::rebuildArena(par::ThreadPool *pool)
     // the buffer keeps ~12% spare capacity: the first relocations
     // after a rebuild then append at the tail without a reallocation
     // that would copy the whole array — an O(entries) cliff inside an
-    // otherwise O(touched) repair.
-    nodes_.clear();
-    nodes_.reserve(total + total / 8 + 64);
+    // otherwise O(touched) repair. The emit below overwrites every
+    // slot, so a rebase keeps the old buffer (it already holds at
+    // least the live entries) and resize only truncates it: no serial
+    // zero-fill runs ahead of the parallel emit.
+    const std::size_t spare = total + total / 8 + 64;
+    if (nodes_.capacity() < spare) {
+        nodes_ = {};
+        nodes_.reserve(spare);
+    }
     nodes_.resize(total);
     par::parallelFor(
         pool, n, par::kDefaultGrain, [&](std::uint64_t i, unsigned) {

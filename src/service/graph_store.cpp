@@ -370,15 +370,28 @@ void
 GraphStore::writeSnapshot(std::string_view name,
                           const std::filesystem::path &path)
 {
-    std::shared_ptr<const StoredGraph> pinned = pin(name);
-    Snapshot snapshot;
-    snapshot.graph = pinned->graph;
-    snapshot.hasVirtual = pinned->hasVirtual;
-    snapshot.virtualDegreeBound = pinned->virtualDegreeBound;
-    snapshot.virtualLayout = pinned->virtualLayout;
-    snapshot.virtualNodes = pinned->virtualNodes;
-    snapshot.epoch = pinned->epoch;
-    saveSnapshotFile(snapshot, path);
+    auto it = entries_.find(name);
+    if (it == entries_.end())
+        throw std::out_of_range("tigr: no graph named '" +
+                                std::string(name) + "' in the store");
+    const Entry &entry = it->second;
+    if (entry.dynamic &&
+        entry.dynamic->staleDense.load(std::memory_order_acquire)) {
+        // Stream the checkpoint straight from the arena; the dense
+        // entry stays stale (no query needs it yet).
+        const DynamicState &state = *entry.dynamic;
+        saveSnapshotFile(state.graph,
+                         state.virtualizer ? &*state.virtualizer
+                                           : nullptr,
+                         state.base + state.graph.epoch(), path);
+        return;
+    }
+    const StoredGraph &stored = *entry.stored;
+    saveSnapshotFile(SnapshotView{stored.graph, stored.hasVirtual,
+                                  stored.virtualDegreeBound,
+                                  stored.virtualLayout,
+                                  stored.virtualNodes, stored.epoch},
+                     path);
 }
 
 JournalWriter &

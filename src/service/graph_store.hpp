@@ -204,10 +204,11 @@ class GraphStore
      */
     ArenaView arenaView(std::string_view name) const;
 
-    /** True when @p name is registered. */
+    /** True when @p name is registered. Never materializes a stale
+     *  entry. */
     bool contains(std::string_view name) const
     {
-        return find(name) != nullptr;
+        return entries_.find(name) != entries_.end();
     }
 
     /**
@@ -266,7 +267,10 @@ class GraphStore
      * that epoch the same way. A crash at any point leaves a
      * recoverable directory: either the old snapshot + full journal,
      * or the new snapshot with the old journal's records retiring on
-     * recovery. @throws std::logic_error when not durable,
+     * recovery. A mutated entry is written straight from its live
+     * arena: the checkpoint does not refresh the dense copy, so
+     * peek() keeps its old epoch and the next queries are routed as
+     * before it. @throws std::logic_error when not durable,
      * std::out_of_range for an unknown name, SnapshotError /
      * JournalError (Io) on write failure.
      */
@@ -375,7 +379,9 @@ class GraphStore
     JournalWriter &ensureJournal(const std::string &name);
 
     /** Snapshot the current version of @p name to @p path
-     *  (crash-consistently, through saveSnapshotFile). */
+     *  (crash-consistently, through saveSnapshotFile). A stale entry
+     *  is written straight from its arena and stays stale.
+     *  @throws std::out_of_range for an unknown name. */
     void writeSnapshot(std::string_view name,
                        const std::filesystem::path &path);
 

@@ -1,6 +1,5 @@
 #include "service/journal.hpp"
 
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -169,29 +168,6 @@ parseSyncPolicy(std::string_view name)
         if (syncPolicyName(policy) == name)
             return policy;
     return std::nullopt;
-}
-
-std::uint32_t
-crc32c(const void *data, std::size_t size, std::uint32_t crc)
-{
-    // Reflected CRC-32C (Castagnoli), table-driven. Seeding with a
-    // previous result chains: crc32c(b, n, crc32c(a, m)) equals the
-    // CRC of the concatenation.
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int bit = 0; bit < 8; ++bit)
-                c = (c >> 1) ^ ((c & 1u) ? 0x82f63b78u : 0u);
-            t[i] = c;
-        }
-        return t;
-    }();
-    std::uint32_t c = ~crc;
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i)
-        c = (c >> 8) ^ table[(c ^ p[i]) & 0xffu];
-    return ~c;
 }
 
 JournalScan

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "dynamic/mutation.hpp"
+#include "service/crc32c.hpp"
 #include "service/fileio.hpp"
 
 namespace tigr::obs {
@@ -105,11 +106,6 @@ class JournalError : public std::runtime_error
   private:
     JournalErrorKind kind_;
 };
-
-/** CRC-32C (Castagnoli) of @p size bytes at @p data, seeded by @p crc
- *  (0 to start; chain calls to checksum discontiguous buffers). */
-std::uint32_t crc32c(const void *data, std::size_t size,
-                     std::uint32_t crc = 0);
 
 /** One intact journal record. */
 struct JournalRecord

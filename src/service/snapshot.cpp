@@ -1,17 +1,21 @@
 #include "service/snapshot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <new>
 #include <set>
-#include <sstream>
 
+#include "dynamic/dynamic_graph.hpp"
+#include "dynamic/incremental_virtualizer.hpp"
 #include "dynamic/mutation.hpp"
 #include "fault/fault.hpp"
 #include "graph/io.hpp"
+#include "service/crc32c.hpp"
 #include "service/fileio.hpp"
 #include "service/journal.hpp"
 
@@ -30,13 +34,24 @@ namespace tigr::service {
 namespace {
 
 constexpr char kMagic[8] = {'T', 'I', 'G', 'R', 'S', 'N', 'P', '2'};
-constexpr std::uint32_t kVersion = 3;
+/** The version the writer emits: v4 checksums the payload with
+ *  CRC-32C; v3 (same layout) used FNV-1a 64 and still loads. */
+constexpr std::uint32_t kVersion = 4;
 constexpr std::uint32_t kFlagVirtual = 1u << 0;
 
-/** The current (v3) on-disk header; field order gives natural
- *  alignment, so the struct is exactly its 88 wire bytes with no
- *  padding. v3 added the epoch field; the magic stays "TIGRSNP2" as a
- *  family tag, the version field tells the layouts apart. */
+/** Bytes the writer hands io::FileHandle::writeAll (or the ostream) at
+ *  a time: the header and payload stream through one buffer this
+ *  size, so writing never holds a second copy of the graph. */
+constexpr std::size_t kWriteBufferBytes = std::size_t{1} << 20;
+
+/** Virtual entries de-interleaved per chunk into the on-disk SoA
+ *  columns. */
+constexpr std::size_t kVirtualChunk = 4096;
+
+/** The v3/v4 on-disk header; field order gives natural alignment, so
+ *  the struct is exactly its 88 wire bytes with no padding. v3 added
+ *  the epoch field; the magic stays "TIGRSNP2" as a family tag, the
+ *  version field tells the layouts and checksums apart. */
 struct Header
 {
     char magic[8];
@@ -183,7 +198,7 @@ readHeader(Cursor &cursor)
         h.payloadBytes = v2.payloadBytes;
         h.payloadChecksum = v2.payloadChecksum;
         h.headerChecksum = v2.headerChecksum;
-    } else if (version == kVersion) {
+    } else if (version == 3 || version == kVersion) {
         cursor.read(raw + sizeof(WireHeaderV2),
                     sizeof(Header) - sizeof(WireHeaderV2));
         std::memcpy(&h, raw, sizeof(Header));
@@ -193,7 +208,7 @@ readHeader(Cursor &cursor)
     } else {
         fail(SnapshotErrorKind::BadVersion,
              "unsupported snapshot version " + std::to_string(version) +
-                 " (this build reads 2 and " + std::to_string(kVersion) +
+                 " (this build reads 2 to " + std::to_string(kVersion) +
                  ")");
     }
     return h;
@@ -278,25 +293,249 @@ validateTargets(const Header &h, const std::vector<NodeId> &cols)
                  "snapshot edge target out of range");
 }
 
+/**
+ * What one snapshot's payload is written from, all borrowed: dense row
+ * offsets, plus where each row's edges sit in the target and weight
+ * arrays. For a Csr those are its own arrays (rowBegins = offsets); for
+ * a DynamicGraph they are the slack arena and its segment begins, so a
+ * checkpoint streams the live segments in vertex order with no dense
+ * copy. The virtual entries are dense-addressed either way.
+ */
+struct PayloadSource
+{
+    std::span<const EdgeIndex> offsets; ///< numNodes + 1 entries.
+    std::span<const EdgeIndex> rowBegins; ///< numNodes entries.
+    std::span<const NodeId> targets;
+    std::span<const Weight> weights;
+    bool hasVirtual = false;
+    NodeId virtualDegreeBound = 0;
+    transform::EdgeLayout virtualLayout = transform::EdgeLayout::Coalesced;
+    std::span<const transform::VirtualNode> virtualNodes;
+    std::uint64_t epoch = 0;
+};
+
 Header
-makeHeader(const Snapshot &snapshot)
+makeHeader(const PayloadSource &source)
 {
     Header h{};
     std::memcpy(h.magic, kMagic, sizeof(kMagic));
     h.version = kVersion;
-    h.flags = snapshot.hasVirtual ? kFlagVirtual : 0;
-    h.numNodes = snapshot.graph.numNodes();
-    h.numEdges = snapshot.graph.numEdges();
+    h.flags = source.hasVirtual ? kFlagVirtual : 0;
+    h.numNodes = source.rowBegins.size();
+    h.numEdges = source.offsets.back();
     h.numVirtualNodes =
-        snapshot.hasVirtual ? snapshot.virtualNodes.size() : 0;
-    h.virtualDegreeBound = snapshot.virtualDegreeBound;
+        source.hasVirtual ? source.virtualNodes.size() : 0;
+    h.virtualDegreeBound = source.virtualDegreeBound;
     h.virtualLayout =
-        snapshot.virtualLayout == transform::EdgeLayout::Coalesced ? 1
-                                                                   : 0;
-    h.epoch = snapshot.epoch;
+        source.virtualLayout == transform::EdgeLayout::Coalesced ? 1 : 0;
+    h.epoch = source.epoch;
     h.payloadOffset = sizeof(Header);
     h.payloadBytes = expectedPayloadBytes(h);
     return h;
+}
+
+/** One edge-array section: each maximal run of rows whose segments
+ *  abut in @p slots goes out in one put (a dense CSR is a single run;
+ *  an empty row never breaks a run). */
+template <typename T, typename Sink>
+void
+emitRows(const PayloadSource &source, std::span<const T> slots,
+         Sink &sink)
+{
+    const std::span<const EdgeIndex> offsets = source.offsets;
+    const std::size_t n = source.rowBegins.size();
+    for (std::size_t v = 0; v < n;) {
+        const EdgeIndex begin = source.rowBegins[v];
+        EdgeIndex end = begin + (offsets[v + 1] - offsets[v]);
+        for (++v; v < n; ++v) {
+            const EdgeIndex degree = offsets[v + 1] - offsets[v];
+            if (degree != 0 && source.rowBegins[v] != end)
+                break;
+            end += degree;
+        }
+        sink.put(slots.data() + begin, (end - begin) * sizeof(T));
+    }
+}
+
+/** One virtual SoA column, de-interleaved a chunk at a time
+ *  (VirtualNode has padding; raw struct bytes would checksum
+ *  indeterminate padding). */
+template <typename T, typename Field, typename Sink>
+void
+emitColumn(std::span<const transform::VirtualNode> nodes, Field field,
+           Sink &sink)
+{
+    std::array<T, kVirtualChunk> chunk;
+    for (std::size_t i = 0; i < nodes.size(); i += chunk.size()) {
+        const std::size_t m = std::min(chunk.size(), nodes.size() - i);
+        for (std::size_t j = 0; j < m; ++j)
+            chunk[j] = field(nodes[i + j]);
+        sink.put(chunk.data(), m * sizeof(T));
+    }
+}
+
+/** The payload bytes, in wire order, to @p sink. */
+template <typename Sink>
+void
+emitPayload(const PayloadSource &source, Sink &sink)
+{
+    sink.put(source.offsets.data(),
+             source.offsets.size() * sizeof(EdgeIndex));
+    emitRows(source, source.targets, sink);
+    emitRows(source, source.weights, sink);
+    if (!source.hasVirtual)
+        return;
+    using transform::VirtualNode;
+    const auto nodes = source.virtualNodes;
+    emitColumn<NodeId>(
+        nodes, [](const VirtualNode &v) { return v.physicalId; }, sink);
+    emitColumn<EdgeIndex>(
+        nodes, [](const VirtualNode &v) { return v.start; }, sink);
+    emitColumn<EdgeIndex>(
+        nodes, [](const VirtualNode &v) { return v.stride; }, sink);
+    emitColumn<std::uint32_t>(
+        nodes, [](const VirtualNode &v) { return v.count; }, sink);
+}
+
+/** Pass 1: the CRC-32C of everything put. */
+struct CrcSink
+{
+    std::uint32_t crc = 0;
+
+    void
+    put(const void *data, std::size_t bytes)
+    {
+        crc = crc32c(data, bytes, crc);
+    }
+};
+
+/** Pass 2: everything put, copied through one fixed buffer that
+ *  @p flush receives whenever it fills (and once more at the end). */
+template <typename Flush>
+class BufferedSink
+{
+  public:
+    explicit BufferedSink(Flush flush)
+        : flush_(std::move(flush)),
+          buffer_(std::make_unique<char[]>(kWriteBufferBytes))
+    {
+    }
+
+    void
+    put(const void *data, std::size_t bytes)
+    {
+        const char *p = static_cast<const char *>(data);
+        while (bytes > 0) {
+            const std::size_t take =
+                std::min(bytes, kWriteBufferBytes - used_);
+            std::memcpy(buffer_.get() + used_, p, take);
+            used_ += take;
+            p += take;
+            bytes -= take;
+            if (used_ == kWriteBufferBytes)
+                finish();
+        }
+    }
+
+    /** Hand over whatever is buffered. */
+    void
+    finish()
+    {
+        if (used_ > 0)
+            flush_(buffer_.get(), used_);
+        used_ = 0;
+    }
+
+  private:
+    Flush flush_;
+    std::unique_ptr<char[]> buffer_;
+    std::size_t used_ = 0;
+};
+
+/** Checksum the payload (pass 1), then stream header and payload
+ *  through one buffer to @p flush (pass 2). */
+template <typename Flush>
+void
+writeSnapshotBytes(const PayloadSource &source, Flush flush)
+{
+    Header h = makeHeader(source);
+    CrcSink crc;
+    emitPayload(source, crc);
+    h.payloadChecksum = crc.crc;
+    h.headerChecksum = graph::fnv1a64(&h, kHeaderHashedBytes);
+
+    BufferedSink<Flush> sink(std::move(flush));
+    sink.put(&h, sizeof(Header));
+    emitPayload(source, sink);
+    sink.finish();
+}
+
+/** The payload source of a dense view, after checking its virtual
+ *  array against the graph (so a bad array is rejected at write time,
+ *  not by every future load). @throws std::invalid_argument. */
+PayloadSource
+sourceOf(const SnapshotView &view)
+{
+    const graph::Csr &g = view.graph;
+    const NodeId n = g.numNodes();
+    PayloadSource source;
+    source.offsets = g.rowOffsets();
+    source.rowBegins = source.offsets.first(n);
+    source.targets = g.colIndices();
+    source.weights = g.weights();
+    source.epoch = view.epoch;
+    if (view.hasVirtual) {
+        std::vector<EdgeIndex> degrees(n);
+        for (NodeId v = 0; v < n; ++v)
+            degrees[v] = g.degree(v);
+        transform::validateVirtualArray(view.virtualNodes, n,
+                                        view.virtualDegreeBound,
+                                        source.rowBegins, degrees);
+        source.hasVirtual = true;
+        source.virtualDegreeBound = view.virtualDegreeBound;
+        source.virtualLayout = view.virtualLayout;
+        source.virtualNodes = view.virtualNodes;
+    }
+    return source;
+}
+
+/** Crash-consistent write of @p source to @p path: temp file + fsync +
+ *  atomic rename. A crash leaves either the old snapshot intact or a
+ *  "*.tgs.tmp" leftover that auditSnapshotDirectory() quarantines — a
+ *  partial file never appears under the real name. All file I/O flows
+ *  through the io:: shim, so the crash-torture harness can cut any
+ *  write at any byte or kill the fsync/rename. */
+void
+writeSnapshotFile(const PayloadSource &source,
+                  const std::filesystem::path &path)
+{
+    const std::filesystem::path tmp =
+        path.parent_path() / (path.filename().string() + ".tmp");
+    try {
+        io::FileHandle file = io::FileHandle::createTruncated(tmp);
+        writeSnapshotBytes(source,
+                           [&file](const char *data, std::size_t bytes) {
+                               file.writeAll(data, bytes);
+                           });
+        file.sync();
+        file.close();
+        io::renameFile(tmp, path); // atomic on POSIX
+        const std::filesystem::path parent = path.parent_path();
+        io::syncPath(parent.empty() ? "." : parent,
+                     /*directory=*/true);
+    } catch (const fault::InjectedCrash &) {
+        // Simulated process death: no cleanup runs — the leftover
+        // "*.tgs.tmp" is exactly what recovery must cope with.
+        throw;
+    } catch (const io::IoError &error) {
+        std::error_code ec;
+        std::filesystem::remove(tmp, ec); // best-effort cleanup
+        fail(SnapshotErrorKind::Io, error.what());
+    } catch (...) {
+        std::error_code ec;
+        std::filesystem::remove(tmp, ec);
+        throw;
+    }
 }
 
 /** In-memory cursor over a mapped or loaded snapshot image. */
@@ -337,11 +576,38 @@ struct StreamCursor
     }
 };
 
+/** The payload checksum of a header version, chained over the payload
+ *  bytes in order: FNV-1a 64 through v3, CRC-32C (zero-extended to 64
+ *  bits) from v4 on. */
+class PayloadChecksum
+{
+  public:
+    explicit PayloadChecksum(std::uint32_t version) : crc_(version >= 4)
+    {
+    }
+
+    void
+    add(const void *data, std::size_t bytes)
+    {
+        if (crc_)
+            crc32_ = crc32c(data, bytes, crc32_);
+        else
+            fnv_ = graph::fnv1a64(data, bytes, fnv_);
+    }
+
+    std::uint64_t value() const { return crc_ ? crc32_ : fnv_; }
+
+  private:
+    bool crc_;
+    std::uint32_t crc32_ = 0;
+    std::uint64_t fnv_ = graph::kFnv1aBasis;
+};
+
 /** Read one payload array, chaining @p checksum across its bytes. */
 template <typename Cursor, typename T>
 void
 readSection(Cursor &cursor, std::vector<T> &vec, std::uint64_t count,
-            std::uint64_t &checksum)
+            PayloadChecksum &checksum)
 {
     try {
         vec.resize(count);
@@ -350,7 +616,7 @@ readSection(Cursor &cursor, std::vector<T> &vec, std::uint64_t count,
              "snapshot declares arrays larger than available memory");
     }
     cursor.read(vec.data(), count * sizeof(T));
-    checksum = graph::fnv1a64(vec.data(), count * sizeof(T), checksum);
+    checksum.add(vec.data(), count * sizeof(T));
 }
 
 /** Decode header + payload through any cursor. The payload checksum is
@@ -363,7 +629,7 @@ decode(Cursor &cursor)
     const Header h = readHeader(cursor);
     validateHeader(h);
 
-    std::uint64_t checksum = graph::kFnv1aBasis;
+    PayloadChecksum checksum(h.version);
     std::vector<EdgeIndex> offsets;
     std::vector<NodeId> cols;
     std::vector<Weight> weights;
@@ -388,7 +654,7 @@ decode(Cursor &cursor)
         }
     }
 
-    if (checksum != h.payloadChecksum)
+    if (checksum.value() != h.payloadChecksum)
         fail(SnapshotErrorKind::ChecksumMismatch,
              "snapshot payload fails its checksum (corrupted file?)");
 
@@ -487,134 +753,99 @@ snapshotErrorKindName(SnapshotErrorKind kind)
     return "unknown";
 }
 
+namespace {
+
+SnapshotView
+viewOf(const Snapshot &snapshot)
+{
+    return SnapshotView{snapshot.graph, snapshot.hasVirtual,
+                        snapshot.virtualDegreeBound,
+                        snapshot.virtualLayout, snapshot.virtualNodes,
+                        snapshot.epoch};
+}
+
+} // namespace
+
 void
 saveSnapshot(const Snapshot &snapshot, std::ostream &out)
 {
-    if (snapshot.hasVirtual) {
-        // Reuse fromArrays' validation so a bad array is rejected at
-        // write time, not by every future load.
-        transform::VirtualGraph::fromArrays(
-            snapshot.graph, snapshot.virtualDegreeBound,
-            snapshot.virtualLayout, snapshot.virtualNodes);
-    }
-
-    Header h = makeHeader(snapshot);
-
-    // De-interleave the virtual array into the on-disk SoA sections
-    // (VirtualNode has padding; raw struct bytes would checksum
-    // indeterminate padding).
-    const std::size_t nv = snapshot.hasVirtual
-                               ? snapshot.virtualNodes.size()
-                               : 0;
-    std::vector<NodeId> phys(nv);
-    std::vector<EdgeIndex> starts(nv);
-    std::vector<EdgeIndex> strides(nv);
-    std::vector<std::uint32_t> counts(nv);
-    for (std::size_t i = 0; i < nv; ++i) {
-        const transform::VirtualNode &node = snapshot.virtualNodes[i];
-        phys[i] = node.physicalId;
-        starts[i] = node.start;
-        strides[i] = node.stride;
-        counts[i] = node.count;
-    }
-
-    const graph::Csr &g = snapshot.graph;
-    auto hash = [](std::uint64_t seed, const auto &vec) {
-        using T = typename std::decay_t<decltype(vec)>::value_type;
-        return graph::fnv1a64(vec.data(), vec.size() * sizeof(T), seed);
-    };
-    std::uint64_t checksum = graph::kFnv1aBasis;
-    checksum = hash(checksum, g.rowOffsets());
-    checksum = hash(checksum, g.colIndices());
-    checksum = hash(checksum, g.weights());
-    if (snapshot.hasVirtual) {
-        checksum = hash(checksum, phys);
-        checksum = hash(checksum, starts);
-        checksum = hash(checksum, strides);
-        checksum = hash(checksum, counts);
-    }
-    h.payloadChecksum = checksum;
-    h.headerChecksum = graph::fnv1a64(&h, kHeaderHashedBytes);
-
-    auto write = [&](const auto &vec) {
-        using T = typename std::decay_t<decltype(vec)>::value_type;
-        out.write(reinterpret_cast<const char *>(vec.data()),
-                  static_cast<std::streamsize>(vec.size() * sizeof(T)));
-    };
-    out.write(reinterpret_cast<const char *>(&h), sizeof(Header));
-    write(g.rowOffsets());
-    write(g.colIndices());
-    write(g.weights());
-    if (snapshot.hasVirtual) {
-        write(phys);
-        write(starts);
-        write(strides);
-        write(counts);
-    }
+    writeSnapshotBytes(sourceOf(viewOf(snapshot)),
+                       [&out](const char *data, std::size_t bytes) {
+                           out.write(data,
+                                     static_cast<std::streamsize>(bytes));
+                       });
     if (!out)
         fail(SnapshotErrorKind::Io, "snapshot write failed");
+}
+
+void
+saveSnapshotFile(const SnapshotView &view,
+                 const std::filesystem::path &path)
+{
+    writeSnapshotFile(sourceOf(view), path);
 }
 
 void
 saveSnapshotFile(const Snapshot &snapshot,
                  const std::filesystem::path &path)
 {
-    // Crash-consistent write: temp file + fsync + atomic rename. A
-    // crash leaves either the old snapshot intact or a "*.tgs.tmp"
-    // leftover that auditSnapshotDirectory() quarantines — a partial
-    // file never appears under the real name. All file I/O flows
-    // through the io:: shim, so the crash-torture harness can cut the
-    // write at any byte or kill the fsync/rename.
-    const std::filesystem::path tmp =
-        path.parent_path() / (path.filename().string() + ".tmp");
-    try {
-        std::ostringstream buffer(std::ios::binary);
-        saveSnapshot(snapshot, buffer);
-        const std::string bytes = std::move(buffer).str();
-        io::FileHandle file = io::FileHandle::createTruncated(tmp);
-        file.writeAll(bytes.data(), bytes.size());
-        file.sync();
-        file.close();
-        io::renameFile(tmp, path); // atomic on POSIX
-        const std::filesystem::path parent = path.parent_path();
-        io::syncPath(parent.empty() ? "." : parent,
-                     /*directory=*/true);
-    } catch (const fault::InjectedCrash &) {
-        // Simulated process death: no cleanup runs — the leftover
-        // "*.tgs.tmp" is exactly what recovery must cope with.
-        throw;
-    } catch (const io::IoError &error) {
-        std::error_code ec;
-        std::filesystem::remove(tmp, ec); // best-effort cleanup
-        fail(SnapshotErrorKind::Io, error.what());
-    } catch (...) {
-        std::error_code ec;
-        std::filesystem::remove(tmp, ec);
-        throw;
-    }
+    saveSnapshotFile(viewOf(snapshot), path);
 }
 
 void
 saveSnapshotFile(const graph::Csr &graph,
                  const std::filesystem::path &path)
 {
-    Snapshot snapshot;
-    snapshot.graph = graph;
-    saveSnapshotFile(snapshot, path);
+    saveSnapshotFile(SnapshotView{graph}, path);
 }
 
 void
 saveSnapshotFile(const transform::VirtualGraph &vg,
                  const std::filesystem::path &path)
 {
-    Snapshot snapshot;
-    snapshot.graph = vg.physical();
-    snapshot.hasVirtual = true;
-    snapshot.virtualDegreeBound = vg.degreeBound();
-    snapshot.virtualLayout = vg.layout();
-    snapshot.virtualNodes.assign(vg.virtualNodes().begin(),
-                                 vg.virtualNodes().end());
-    saveSnapshotFile(snapshot, path);
+    saveSnapshotFile(SnapshotView{vg.physical(), true, vg.degreeBound(),
+                                  vg.layout(), vg.virtualNodes()},
+                     path);
+}
+
+void
+saveSnapshotFile(const dynamic::DynamicGraph &graph,
+                 const dynamic::IncrementalVirtualizer *virtualizer,
+                 std::uint64_t epoch, const std::filesystem::path &path)
+{
+    // Dense row offsets from the live degrees; the edge sections then
+    // stream straight from the arena segments in vertex order.
+    const NodeId n = graph.numNodes();
+    const std::span<const EdgeIndex> degrees = graph.segmentDegrees();
+    std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
+    for (NodeId v = 0; v < n; ++v)
+        offsets[v + 1] = offsets[v] + degrees[v];
+
+    PayloadSource source;
+    source.offsets = offsets;
+    source.rowBegins = graph.segmentBegins();
+    source.targets = graph.arenaTargets();
+    source.weights = graph.arenaWeights();
+    source.epoch = epoch;
+    std::vector<transform::VirtualNode> canonical;
+    if (virtualizer) {
+        if (virtualizer->side() != dynamic::GraphSide::Out ||
+            virtualizer->epoch() != graph.epoch())
+            throw std::invalid_argument(
+                "tigr: a checkpoint needs the Out-side virtual array "
+                "at the graph's current epoch");
+        canonical = virtualizer->canonicalNodes();
+        // The same check fromArrays runs on a dense array: canonical
+        // entries address the dense rows these offsets describe.
+        transform::validateVirtualArray(
+            canonical, n, virtualizer->degreeBound(),
+            std::span<const EdgeIndex>(offsets).first(n), degrees);
+        source.hasVirtual = true;
+        source.virtualDegreeBound = virtualizer->degreeBound();
+        source.virtualLayout = virtualizer->layout();
+        source.virtualNodes = canonical;
+    }
+    writeSnapshotFile(source, path);
 }
 
 Snapshot

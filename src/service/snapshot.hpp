@@ -8,7 +8,7 @@
  *
  *   header  (88 bytes, fixed)
  *     magic            "TIGRSNP2"                       8 bytes
- *     version          u32  (currently 3)
+ *     version          u32  (currently 4)
  *     flags            u32  (bit 0: virtual section present)
  *     numNodes         u64
  *     numEdges         u64
@@ -18,12 +18,15 @@
  *     epoch            u64  (mutation epoch of the persisted state)
  *     payloadOffset    u64  (first payload byte; = 88)
  *     payloadBytes     u64  (total payload size)
- *     payloadChecksum  u64  (FNV-1a 64 of the payload bytes)
+ *     payloadChecksum  u64  (CRC-32C of the payload bytes,
+ *                            zero-extended)
  *     headerChecksum   u64  (FNV-1a 64 of the preceding 80 bytes)
  *
- * Version 2 files (80-byte header, no epoch field) predate the dynamic
- * subsystem and still load — their epoch defaults to 0. The writer
- * always emits version 3.
+ * Older versions still load. Version 3 has the same layout but an
+ * FNV-1a 64 payload checksum. Version 2 files (80-byte header, no
+ * epoch field, FNV-1a 64 payload checksum) predate the dynamic
+ * subsystem; their epoch defaults to 0. The writer always emits
+ * version 4, streaming the payload through a fixed buffer.
  *   payload (little-endian arrays, in this order)
  *     rowOffsets   (numNodes + 1) x u64
  *     colIndices   numEdges x u32
@@ -46,12 +49,18 @@
 #include <filesystem>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "graph/csr.hpp"
 #include "transform/virtual_graph.hpp"
+
+namespace tigr::dynamic {
+class DynamicGraph;
+class IncrementalVirtualizer;
+} // namespace tigr::dynamic
 
 namespace tigr::service {
 
@@ -147,13 +156,28 @@ enum class SnapshotLoadMode
     Mmap,   ///< POSIX mmap of the whole file; throws Io if unavailable.
 };
 
+/** A snapshot's contents by reference: what the writers serialize,
+ *  without first copying the arrays into a Snapshot. */
+struct SnapshotView
+{
+    const graph::Csr &graph;
+    bool hasVirtual = false;
+    NodeId virtualDegreeBound = 0;
+    transform::EdgeLayout virtualLayout =
+        transform::EdgeLayout::Coalesced;
+    /** Dense-addressed virtual node array (ignored without the
+     *  section). */
+    std::span<const transform::VirtualNode> virtualNodes = {};
+    std::uint64_t epoch = 0;
+};
+
 /** Write @p snapshot to @p out. @throws SnapshotError (Io) on write
  *  failure, std::invalid_argument if virtualNodes is inconsistent with
  *  the graph. */
 void saveSnapshot(const Snapshot &snapshot, std::ostream &out);
 
 /**
- * Write @p snapshot to @p path (conventionally "*.tgs"),
+ * Write @p view to @p path (conventionally "*.tgs"),
  * crash-consistently: the bytes go to "<path>.tmp" first, are flushed
  * and fsync'd, and the temp file is atomically renamed over @p path
  * (with the parent directory fsync'd after, where the platform
@@ -162,6 +186,10 @@ void saveSnapshot(const Snapshot &snapshot, std::ostream &out);
  * — never a partial snapshot under the real name. The temp file is
  * removed on any failure.
  */
+void saveSnapshotFile(const SnapshotView &view,
+                      const std::filesystem::path &path);
+
+/** Convenience: saveSnapshotFile of @p snapshot's arrays. */
 void saveSnapshotFile(const Snapshot &snapshot,
                       const std::filesystem::path &path);
 
@@ -171,6 +199,22 @@ void saveSnapshotFile(const graph::Csr &graph,
 
 /** Convenience: snapshot @p vg's physical graph plus its array. */
 void saveSnapshotFile(const transform::VirtualGraph &vg,
+                      const std::filesystem::path &path);
+
+/**
+ * Checkpoint a live slack-arena graph: write the same bytes as
+ * saveSnapshotFile of `{graph.toCsr(), virtualizer->canonicalNodes()}`
+ * at @p epoch, but stream the edge sections straight from @p graph's
+ * segments in vertex order, with no dense CSR copy. @p virtualizer
+ * (null for no virtual section) must be the Out-side array at the
+ * graph's current epoch; its canonical entries are validated against
+ * row offsets derived from the degrees, as fromArrays would.
+ * @throws std::invalid_argument on a mismatched virtualizer, plus
+ *         whatever the SnapshotView overload throws.
+ */
+void saveSnapshotFile(const dynamic::DynamicGraph &graph,
+                      const dynamic::IncrementalVirtualizer *virtualizer,
+                      std::uint64_t epoch,
                       const std::filesystem::path &path);
 
 /** Load a snapshot from @p in. @throws SnapshotError. */

@@ -314,7 +314,8 @@ splitGraph()
 
 /** Recompute both checksums after a deliberate payload patch, so the
  *  file is "what a sane-looking writer wrote" and only the structural
- *  validators can reject it. Offsets mirror the TIGRSNP2 header. */
+ *  validators can reject it. Offsets mirror the TIGRSNP2 header; the
+ *  payload checksum is the v4 CRC-32C, zero-extended. */
 void
 rewriteChecksums(std::vector<char> &bytes)
 {
@@ -322,7 +323,7 @@ rewriteChecksums(std::vector<char> &bytes)
     constexpr std::size_t kPayloadChecksumAt = 72;
     constexpr std::size_t kHeaderChecksumAt = 80;
     ASSERT_GE(bytes.size(), kHeaderBytes);
-    const std::uint64_t payload = graph::fnv1a64(
+    const std::uint64_t payload = crc32c(
         bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes);
     std::memcpy(bytes.data() + kPayloadChecksumAt, &payload,
                 sizeof(payload));
